@@ -28,7 +28,6 @@ from .bosonic import (
     position,
     project,
     register_block,
-    site_ladder,
     site_product,
 )
 from .checks import (
@@ -67,7 +66,6 @@ from .gates import (
     apply_circuit,
     apply_cnot,
     apply_cnot_transpose,
-    apply_site_op,
     apply_transpose,
     apply_transpose_theta,
     circuit_from_json,

@@ -5,9 +5,10 @@ of the n-th oscillator level; the span of these R keys is the bosonic
 subspace.  Everything outside it, the all-empty configuration included, is
 transbosonic and is annihilated by every operator built here.
 
-Operators are sparse key-rewrite programs.  The building blocks are products
-of named single-site operators over all sites, with either the site unit S0
-or the empty projector P0 filling the unnamed sites.  On top of those:
+Operators are lists of monomial branches (see gates).  The building blocks
+are products of named single-site operators over all sites, with either the
+site unit S0 or the empty projector P0 filling the unnamed sites.  On top of
+those:
 
   * bosonic_projector(n)   keeps exactly the key 2**n
   * bosonic_identity       the sum of all R projectors, the subspace filter
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,14 +46,21 @@ from .errors import (
     ZeroVectorError,
 )
 from .gates import (
+    IDENTITY,
+    Branch,
     Circuit,
     CircuitPair,
     CircuitTerm,
-    apply_circuit,
+    apply_branches,
+    apply_circuit,  # noqa: F401  re-exported; benchmarks/selftest.py reads bosonic.apply_circuit
+    branch_matrix,
+    circuit_branches,
+    compose,
     local,
+    site_branches,
     transpose_theta,
 )
-from .qubit import SiteOp, op_action
+from .qubit import SiteOp
 from .register import DENSE_MAX_RANK, MAX_RANK, RegisterState
 
 __all__ = [
@@ -65,7 +73,6 @@ __all__ = [
     "is_power_of_two_key",
     "is_bosonic_state",
     "is_bosonic_operator",
-    "site_ladder",
     "b_lower",
     "b_raise",
     "ladder",
@@ -81,10 +88,6 @@ __all__ = [
     "project",
     "register_block",
 ]
-
-Kernel = Callable[[int], Sequence[tuple[int, complex]]]
-
-_EMPTY: tuple[tuple[int, complex], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -112,34 +115,25 @@ class PhysParams:
 
 
 class RegisterOperator:
-    """A linear map on register states, realized as a key-rewrite kernel.
+    """A linear map on register states, held as a tuple of monomial branches.
 
-    The kernel sends one basis key to finitely many (key, coefficient)
-    pairs; application distributes it over a state's stored amplitudes, so
-    cost scales with the occupation of the state, not with 2**R.  Operators
-    combine by +, -, scalar *, and @ (composition, right factor first).
+    Application runs every stored amplitude through every branch, so cost
+    scales with the occupation of the state, not with 2**R.  Operators
+    combine by +, -, scalar *, and @ (composition, right factor first); each
+    combination concatenates, rescales or composes branches once, when the
+    operator is built.
     """
 
-    __slots__ = ("rank", "_kernel")
+    __slots__ = ("rank", "branches")
 
-    def __init__(self, rank: int, kernel: Kernel) -> None:
+    def __init__(self, rank: int, branches: Iterable[Branch]) -> None:
         if not 1 <= rank <= MAX_RANK:
             raise ValueError(f"rank must be in [1, {MAX_RANK}], got {rank}")
         self.rank = rank
-        self._kernel = kernel
-
-    def kernel(self, key: int) -> Sequence[tuple[int, complex]]:
-        return self._kernel(key)
+        self.branches = tuple(branches)
 
     def apply(self, state: RegisterState) -> RegisterState:
-        if state.rank != self.rank:
-            raise RankMismatchError(f"state rank {state.rank} vs operator rank {self.rank}")
-        acc: dict[int, complex] = {}
-        kernel = self._kernel
-        for key, amp in state.items():
-            for out_key, coeff in kernel(key):
-                acc[out_key] = acc.get(out_key, 0j) + amp * coeff
-        return RegisterState(self.rank, acc)
+        return apply_branches(self.rank, self.branches, state)
 
     def _require_same_rank(self, other: "RegisterOperator") -> None:
         if self.rank != other.rank:
@@ -161,12 +155,7 @@ class RegisterOperator:
         return self.scale(-1)
 
     def scale(self, factor: complex) -> "RegisterOperator":
-        factor = complex(factor)
-        kernel = self._kernel
-        return RegisterOperator(
-            self.rank,
-            lambda key: [(k, factor * c) for k, c in kernel(key)],
-        )
+        return RegisterOperator.weighted_sum(self.rank, ((factor, self),))
 
     def __mul__(self, factor: complex) -> "RegisterOperator":
         return self.scale(factor)
@@ -176,49 +165,28 @@ class RegisterOperator:
     def __matmul__(self, other: "RegisterOperator") -> "RegisterOperator":
         """Composition self after other."""
         self._require_same_rank(other)
-        first, second = other._kernel, self._kernel
-
-        def kern(key: int) -> list[tuple[int, complex]]:
-            out: list[tuple[int, complex]] = []
-            for mid_key, c1 in first(key):
-                for out_key, c2 in second(mid_key):
-                    out.append((out_key, c1 * c2))
-            return out
-
-        return RegisterOperator(self.rank, kern)
+        return RegisterOperator(self.rank, compose(self.branches, other.branches))
 
     @classmethod
     def weighted_sum(
         cls, rank: int, pairs: Iterable[tuple[complex, "RegisterOperator"]]
     ) -> "RegisterOperator":
-        entries = [(complex(c), op._kernel) for c, op in pairs]
-
-        def kern(key: int) -> list[tuple[int, complex]]:
-            out: list[tuple[int, complex]] = []
-            for coeff, kernel in entries:
-                for out_key, c in kernel(key):
-                    out.append((out_key, coeff * c))
-            return out
-
-        return cls(rank, kern)
+        return cls(
+            rank,
+            (
+                (mask, value, flip, complex(weight) * c)
+                for weight, op in pairs
+                for mask, value, flip, c in op.branches
+            ),
+        )
 
     @classmethod
     def identity(cls, rank: int) -> "RegisterOperator":
-        return cls(rank, lambda key: ((key, 1 + 0j),))
+        return cls(rank, IDENTITY)
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2**R matrix, columns indexed by integer key."""
-        if self.rank > DENSE_MAX_RANK:
-            raise RankTooLargeError(
-                f"dense matrix needs rank <= {DENSE_MAX_RANK}, got {self.rank}"
-            )
-        dim = 1 << self.rank
-        mat = np.zeros((dim, dim), dtype=complex)
-        kernel = self._kernel
-        for key in range(dim):
-            for out_key, coeff in kernel(key):
-                mat[out_key, key] += coeff
-        return mat
+        return branch_matrix(self.rank, self.branches)
 
 
 def site_product(
@@ -226,47 +194,29 @@ def site_product(
 ) -> RegisterOperator:
     """Product of one named operator per site; unnamed sites get ``fill``.
 
-    Only the unit S0 and the empty projector P0 make sense as fill.  With a
-    P0 fill the kernel first rejects any key occupying an unnamed site, so
-    application cost is set by the named sites alone.
+    Only the unit S0 and the empty projector P0 make sense as fill.  A P0
+    fill adds no branch, only the condition that every unnamed bit is 0.
+    The branch count is the product of the named sites' counts, so it grows
+    as 2**k with k named sites holding S2 or S3.
     """
     if fill not in (SiteOp.S0, SiteOp.P0):
         raise ValueError("fill must be S0 or P0")
-    actions = []
+    branches = IDENTITY
     named_mask = 0
     for site, op in sorted(ops.items()):
         if not 0 <= site < rank:
             raise ValueError(f"site {site} out of range for rank {rank}")
-        actions.append((site, op_action(op)))
+        branches = compose(site_branches(site, op), branches)
         named_mask |= 1 << site
-    full_mask = (1 << rank) - 1
-    zero_mask = (full_mask & ~named_mask) if fill is SiteOp.P0 else 0
-
-    def kern(key: int) -> Sequence[tuple[int, complex]]:
-        if key & zero_mask:
-            return _EMPTY
-        out_key = key
-        coeff = 1 + 0j
-        for site, action in actions:
-            entry = action[(key >> site) & 1]
-            if entry is None:
-                return _EMPTY
-            bit, c = entry
-            coeff *= c
-            out_key = out_key | (1 << site) if bit else out_key & ~(1 << site)
-        return ((out_key, coeff),)
-
-    return RegisterOperator(rank, kern)
+    if fill is SiteOp.P0:
+        empty = ((1 << rank) - 1) & ~named_mask
+        branches = tuple((mask | empty, value, flip, c) for mask, value, flip, c in branches)
+    return RegisterOperator(rank, branches)
 
 
 def circuit_as_operator(circuit: Circuit) -> RegisterOperator:
-    """Wrap a gate circuit as a RegisterOperator with the same action."""
-
-    def kern(key: int) -> list[tuple[int, complex]]:
-        image = apply_circuit(RegisterState.basis(circuit.rank, key), circuit)
-        return list(image.items())
-
-    return RegisterOperator(circuit.rank, kern)
+    """The gate circuit compiled to branches, one block per term in term order."""
+    return RegisterOperator(circuit.rank, circuit_branches(circuit))
 
 
 def bosonic_projector(n: int, rank: int) -> RegisterOperator:
@@ -311,16 +261,6 @@ def is_bosonic_operator(op: RegisterOperator, tol: float = 1e-10) -> bool:
     a = op.to_matrix()
     f = bosonic_identity(op.rank).to_matrix()
     return float(np.max(np.abs(a @ f - f @ a))) <= tol
-
-
-def site_ladder(n: int, rank: int, direction: str) -> RegisterOperator:
-    """The bare site shift at site n (A or A+), unit on every other site."""
-    if not 0 <= n < rank:
-        raise ValueError(f"site {n} out of range for rank {rank}")
-    op = {"lower": SiteOp.A, "raise": SiteOp.APLUS}.get(direction)
-    if op is None:
-        raise ValueError("direction must be 'lower' or 'raise'")
-    return site_product(rank, {n: op}, fill=SiteOp.S0)
 
 
 def b_lower(n: int, rank: int) -> RegisterOperator:
@@ -375,16 +315,27 @@ def hamiltonian(params: PhysParams, rank: int) -> RegisterOperator:
     )
 
 
-def position(params: PhysParams, rank: int) -> RegisterOperator:
-    """x = (raise + lower) / (2 beta)."""
-    total = ladder("raise", params, rank) + ladder("lower", params, rank)
-    return total.scale(1.0 / (2.0 * params.beta))
+LadderPair = tuple[RegisterOperator, RegisterOperator]
 
 
-def momentum(params: PhysParams, rank: int) -> RegisterOperator:
-    """p = i (raise - lower) / (2 alpha)."""
-    total = ladder("raise", params, rank) - ladder("lower", params, rank)
-    return total.scale(1j / (2.0 * params.alpha))
+def _ladder_pair(params: PhysParams, rank: int) -> LadderPair:
+    return ladder("raise", params, rank), ladder("lower", params, rank)
+
+
+def position(
+    params: PhysParams, rank: int, ladders: LadderPair | None = None
+) -> RegisterOperator:
+    """x = (raise + lower) / (2 beta), from ``ladders`` = (raise, lower) if given."""
+    up, down = ladders or _ladder_pair(params, rank)
+    return (up + down).scale(1.0 / (2.0 * params.beta))
+
+
+def momentum(
+    params: PhysParams, rank: int, ladders: LadderPair | None = None
+) -> RegisterOperator:
+    """p = i (raise - lower) / (2 alpha), from ``ladders`` = (raise, lower) if given."""
+    up, down = ladders or _ladder_pair(params, rank)
+    return (up - down).scale(1j / (2.0 * params.alpha))
 
 
 def _projector_locals(rank: int, skip: tuple[int, int]) -> list:
@@ -434,17 +385,17 @@ def gate_decomposition(kind: str, params: PhysParams, rank: int) -> CircuitPair:
 def number_state(n: int, params: PhysParams, rank: int) -> RegisterState:
     """Level n built the hard way: n raisings of the ground key, renormalized.
 
-    The result must coincide with the basis state at key 2**n; the
-    construction is checked against that and a drift raises an error.
+    Each raising from level k is divided by its matrix element right away,
+    so no intermediate amplitude overflows or underflows.  The result must
+    coincide with the basis state at key 2**n; the construction is checked
+    against that and a drift raises an error.
     """
     if not 0 <= n < rank:
         raise ValueError(f"level {n} out of range for rank {rank}")
     state = RegisterState.basis(rank, 1)
     up = ladder("raise", params, rank)
-    for _ in range(n):
-        state = up.apply(state)
-    norm = math.sqrt(math.factorial(n) * (2.0 * params.epsilon) ** n)
-    state = state.scale(1.0 / norm)
+    for level in range(n):
+        state = up.apply(state).scale(1.0 / _level_weight(level, params))
     amp = state.amplitude(1 << n)
     if len(state) != 1 or abs(amp - 1.0) > 1e-10:
         raise ArithmeticError("ladder construction drifted off the basis state")

@@ -31,6 +31,7 @@ __all__ = [
     "CriterionResult",
     "CRITERION_NAMES",
     "run_criteria",
+    "algebra_groups",
 ]
 
 MUTATIONS = ("none", "b-convention", "theta-sign", "h-offset")
@@ -133,13 +134,14 @@ class Toolkit:
             return half.scale(0.5)
         return bosonic.hamiltonian(self.params, rank)
 
+    def _ladders(self, rank: int) -> bosonic.LadderPair:
+        return self.ladder("raise", rank), self.ladder("lower", rank)
+
     def position(self, rank: int) -> RegisterOperator:
-        total = self.ladder("raise", rank) + self.ladder("lower", rank)
-        return total.scale(1.0 / (2.0 * self.params.beta))
+        return bosonic.position(self.params, rank, self._ladders(rank))
 
     def momentum(self, rank: int) -> RegisterOperator:
-        total = self.ladder("raise", rank) - self.ladder("lower", rank)
-        return total.scale(1j / (2.0 * self.params.alpha))
+        return bosonic.momentum(self.params, rank, self._ladders(rank))
 
     def _mutate_circuit(self, circuit: gates.Circuit) -> gates.Circuit:
         if self.mutation != "theta-sign":
@@ -568,6 +570,25 @@ _CRITERIA: tuple[tuple[str, Callable[[VerifyConfig, Toolkit], list[_Part]]], ...
 )
 
 CRITERION_NAMES = tuple(name for name, _ in _CRITERIA) + ("mutation-sensitivity",)
+
+
+# algebra-check groups, each reported as the worst of some identity parts
+_ALGEBRA_GROUPS = (
+    ("product-closure", ("closure(81)",)),
+    ("product-associativity", ("associativity(729)",)),
+    ("gate-involutions", ("cnot-involution",)),
+    ("transpose-construction", ("swap-construction",)),
+    ("tensor-identities", ("pauli-sum", "hop-sum", "twisted-hop")),
+)
+
+
+def algebra_groups() -> list[tuple[str, float]]:
+    """Worst deviation per algebra-check group, from the unmutated criteria parts."""
+    cfg = VerifyConfig()
+    kit = Toolkit(cfg.params)
+    parts = _product_table_closure(cfg, kit) + _gate_identities(cfg, kit)
+    dev = {part.label: part.dev for part in parts}
+    return [(name, max(dev[label] for label in labels)) for name, labels in _ALGEBRA_GROUPS]
 
 
 def _run_base(cfg: VerifyConfig, mutation: str) -> list[CriterionResult]:

@@ -19,11 +19,10 @@ import numpy as np
 
 from . import jsonio
 from .bosonic import PhysParams, gate_decomposition, number_state
-from .checks import MUTATIONS, VerifyConfig, run_criteria
+from .checks import MUTATIONS, VerifyConfig, algebra_groups, run_criteria
 from .coherent import CoherentSpec, coherent_series, displacement_generator_gateform, trajectory
 from .errors import BosonRegError
-from .gates import Circuit, CircuitTerm, circuit_to_json_obj, cnot, cnot_transpose, transpose_theta
-from .qubit import SiteOp, op_bit_matrix, op_matrix, op_product
+from .gates import circuit_to_json_obj
 from .register import (
     EventuallyPeriodicSequence,
     LogicFunction,
@@ -91,68 +90,12 @@ def _pick_format(args: argparse.Namespace, default: str, allowed: tuple[str, ...
 # --- algebra-check --------------------------------------------------------
 
 
-def _pair_matrix(op_site0: SiteOp, op_site1: SiteOp) -> np.ndarray:
-    return np.kron(op_bit_matrix(op_site1), op_bit_matrix(op_site0))
-
-
-def _algebra_groups() -> list[tuple[str, float]]:
-    ops = list(SiteOp)
-    closure = 0.0
-    for a in ops:
-        for b in ops:
-            table = op_matrix(op_product(a, b))
-            closure = max(closure, float(np.max(np.abs(table - op_matrix(a) @ op_matrix(b)))))
-    assoc = 0
-    for a in ops:
-        for b in ops:
-            ab = op_product(a, b)
-            for c in ops:
-                if op_product(ab, c) != op_product(a, op_product(b, c)):
-                    assoc += 1
-
-    def circuit_matrix(*factors) -> np.ndarray:
-        from .gates import circuit_to_matrix
-
-        return circuit_to_matrix(Circuit(2, (CircuitTerm(1, tuple(factors)),)))
-
-    eye = np.eye(4, dtype=complex)
-    c = circuit_matrix(cnot(0, 1))
-    ct = circuit_matrix(cnot_transpose(0, 1))
-    t0 = circuit_matrix(transpose_theta(0, 1, 0.0))
-    involutions = max(
-        float(np.max(np.abs(c @ c - eye))), float(np.max(np.abs(ct @ ct - eye)))
-    )
-    construction = max(
-        float(np.max(np.abs(t0 - c @ ct @ c))), float(np.max(np.abs(t0 - ct @ c @ ct)))
-    )
-    pauli = 0.5 * sum(_pair_matrix(op, op) for op in (SiteOp.S0, SiteOp.S1, SiteOp.S2, SiteOp.S3))
-    hop = _pair_matrix(SiteOp.A, SiteOp.APLUS) + _pair_matrix(SiteOp.APLUS, SiteOp.A)
-    pairs = _pair_matrix(SiteOp.P0, SiteOp.P0) + _pair_matrix(SiteOp.P1, SiteOp.P1)
-    twisted = 1j * (
-        _pair_matrix(SiteOp.A, SiteOp.APLUS) - _pair_matrix(SiteOp.APLUS, SiteOp.A)
-    )
-    t_quarter = circuit_matrix(transpose_theta(0, 1, math.pi / 2.0))
-    tensor = max(
-        float(np.max(np.abs(t0 - pauli))),
-        float(np.max(np.abs(hop - (t0 - pairs)))),
-        float(np.max(np.abs(twisted - (t_quarter - pairs)))),
-    )
-    return [
-        ("product-closure", closure),
-        ("product-associativity", float(assoc)),
-        ("gate-involutions", involutions),
-        ("transpose-construction", construction),
-        ("tensor-identities", tensor),
-    ]
-
-
 def _cmd_algebra_check(args: argparse.Namespace) -> int:
     _check_config(args)
     fmt = _pick_format(args, "text", ("text", "json"))
-    groups = _algebra_groups()
     report = [
         {"name": name, "max_deviation": dev, "passed": dev <= args.tol}
-        for name, dev in groups
+        for name, dev in algebra_groups()
     ]
     passed = all(entry["passed"] for entry in report)
     if fmt == "json":

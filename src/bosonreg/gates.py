@@ -1,4 +1,16 @@
-"""Two-site gates and weighted gate circuits over register states.
+"""Monomial branches, two-site gates, and weighted gate circuits.
+
+Every factor in this package is a key rewrite: once the values of a few
+bits are fixed, it sends one basis key to one key times a coefficient.  One
+record describes such a rewrite, the branch
+
+    (cond_mask, cond_value, xor_mask, coeff)
+
+which sends a key k with k & cond_mask == cond_value to k ^ xor_mask times
+coeff and annihilates every other key.  A linear map is a sequence of
+branches whose images add.  Site operators, gates, hops, projectors and whole
+circuits all compile to branches, and compose, apply_branches and
+branch_matrix are the only code that rewrites keys.
 
 CNOT with control a and target b flips bit b exactly on branches where bit a
 is 1; its transpose is the same gate with the roles swapped.  The bit
@@ -9,8 +21,8 @@ T(a, b, theta) phases the two exchange branches oppositely:
     (bit a, bit b) = (0, 1)  ->  (1, 0)  times e^{-i theta}
 
 while equal-bit branches pass through unchanged; theta = 0 is the plain
-swap.  These rules are key rewrites, so application cost scales with the
-number of stored amplitudes, never with 2**R.
+swap.  Sparse application costs stored amplitudes times branches, never
+2**R.
 
 A Circuit is a complex-weighted sum of factor products, each factor being a
 single-site operator placement, a CNOT, or a phased transpose.  Within a
@@ -22,17 +34,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import jsonio
 from .errors import RankMismatchError, RankTooLargeError
-from .qubit import ScaledSiteOp, SiteOp, op_action
+from .qubit import SiteOp, op_action
 from .register import DENSE_MAX_RANK, RegisterState
 
 __all__ = [
-    "apply_site_op",
+    "Branch",
+    "IDENTITY",
+    "compose",
+    "apply_branches",
+    "branch_matrix",
+    "site_branches",
+    "circuit_branches",
     "apply_cnot",
     "apply_cnot_transpose",
     "apply_transpose",
@@ -57,79 +75,77 @@ __all__ = [
     "conjugated_cnot_matrix",
 ]
 
+#: (cond_mask, cond_value, xor_mask, coeff); cond_value has no bit outside cond_mask.
+Branch = tuple[int, int, int, complex]
 
-def _check_pair(rank: int, a: int, b: int) -> None:
-    if not (0 <= a < rank and 0 <= b < rank):
-        raise ValueError(f"sites ({a}, {b}) out of range for rank {rank}")
-    if a == b:
-        raise ValueError("the two sites must differ")
+#: The unit map as a single unconditioned branch.
+IDENTITY: tuple[Branch, ...] = ((0, 0, 0, 1 + 0j),)
 
 
-def apply_site_op(
-    state: RegisterState, site: int, op: SiteOp | ScaledSiteOp
+def compose(left: Iterable[Branch], right: Iterable[Branch]) -> tuple[Branch, ...]:
+    """Branches of ``left`` after ``right``, in right-major order.
+
+    A pair is dropped when ``left``'s condition, read back through
+    ``right``'s flip, disagrees with ``right``'s condition on a shared bit.
+    """
+    left = tuple(left)
+    out = []
+    for mask_r, value_r, flip_r, coeff_r in right:
+        for mask_l, value_l, flip_l, coeff_l in left:
+            if (value_r ^ value_l ^ flip_r) & mask_r & mask_l:
+                continue
+            out.append((
+                mask_r | mask_l,
+                value_r | ((value_l ^ flip_r) & mask_l),
+                flip_r ^ flip_l,
+                coeff_r * coeff_l,
+            ))
+    return tuple(out)
+
+
+def apply_branches(
+    rank: int, branches: Iterable[Branch], state: RegisterState
 ) -> RegisterState:
-    """Apply one named operator at one site, identity elsewhere."""
-    if not 0 <= site < state.rank:
-        raise ValueError(f"site {site} out of range for rank {state.rank}")
-    scaled = op if isinstance(op, ScaledSiteOp) else ScaledSiteOp(1 + 0j, op)
-    action = op_action(scaled.op)
-    out: dict[int, complex] = {}
+    """Sparse action: every stored amplitude through every branch, images summed."""
+    if state.rank != rank:
+        raise RankMismatchError(f"state rank {state.rank} vs operator rank {rank}")
+    branches = tuple(branches)
+    acc: dict[int, complex] = {}
     for key, amp in state.items():
-        entry = action[(key >> site) & 1]
-        if entry is None:
-            continue
-        bit, coeff = entry
-        new_key = key | (1 << site) if bit else key & ~(1 << site)
-        out[new_key] = out.get(new_key, 0j) + amp * coeff * scaled.coeff
-    return RegisterState(state.rank, out)
+        for mask, value, flip, coeff in branches:
+            if key & mask == value:
+                out_key = key ^ flip
+                acc[out_key] = acc.get(out_key, 0j) + amp * coeff
+    return RegisterState(rank, acc)
 
 
-def apply_cnot(state: RegisterState, a: int, b: int) -> RegisterState:
-    """Flip bit b on every branch whose bit a is 1.  Self-inverse."""
-    _check_pair(state.rank, a, b)
-    return RegisterState(
-        state.rank,
-        {key ^ (((key >> a) & 1) << b): amp for key, amp in state.items()},
-    )
+def branch_matrix(rank: int, branches: Iterable[Branch]) -> np.ndarray:
+    """Dense 2**R matrix, columns indexed by integer key, one scatter per branch."""
+    if rank > DENSE_MAX_RANK:
+        raise RankTooLargeError(f"dense matrix needs rank <= {DENSE_MAX_RANK}, got {rank}")
+    keys = np.arange(1 << rank)
+    mat = np.zeros((1 << rank, 1 << rank), dtype=complex)
+    for mask, value, flip, coeff in branches:
+        cols = keys[(keys & mask) == value]
+        mat[cols ^ flip, cols] += coeff
+    return mat
 
 
-def apply_cnot_transpose(state: RegisterState, a: int, b: int) -> RegisterState:
-    """The transpose of CNOT(a, b), which is CNOT with control and target swapped."""
-    return apply_cnot(state, b, a)
+def site_branches(site: int, op: SiteOp) -> tuple[Branch, ...]:
+    """One named operator at one site, read off its per-bit action.
 
-
-def apply_transpose(state: RegisterState, a: int, b: int) -> RegisterState:
-    """Swap bits a and b on every branch."""
-    _check_pair(state.rank, a, b)
-    mask = (1 << a) | (1 << b)
-    out = {}
-    for key, amp in state.items():
-        if ((key >> a) & 1) != ((key >> b) & 1):
-            key ^= mask
-        out[key] = amp
-    return RegisterState(state.rank, out)
-
-
-def apply_transpose_theta(
-    state: RegisterState, a: int, b: int, theta: float
-) -> RegisterState:
-    """Swap bits a and b, phasing the (1,0) branch by e^{+i theta} and the
-    (0,1) branch by e^{-i theta}."""
-    _check_pair(state.rank, a, b)
-    mask = (1 << a) | (1 << b)
-    up = complex(math.cos(theta), math.sin(theta))
-    down = up.conjugate()
-    out: dict[int, complex] = {}
-    for key, amp in state.items():
-        bit_a = (key >> a) & 1
-        bit_b = (key >> b) & 1
-        if bit_a == bit_b:
-            out[key] = amp
-        elif bit_a:
-            out[key ^ mask] = amp * up
-        else:
-            out[key ^ mask] = amp * down
-    return RegisterState(state.rank, out)
+    An operator that treats both bit values alike (S0, S1) needs no
+    condition; the others get one branch per bit value they do not kill.
+    """
+    bit = 1 << site
+    branches = []
+    for bit_in, entry in enumerate(op_action(op)):
+        if entry is not None:
+            bit_out, coeff = entry
+            branches.append((bit, bit_in * bit, (bit_in ^ bit_out) * bit, coeff))
+    if len(branches) == 2 and branches[0][2:] == branches[1][2:]:
+        return ((0, 0) + branches[0][2:],)
+    return tuple(branches)
 
 
 # Wire mnemonics for local placements; the zero operator has no wire form
@@ -151,6 +167,14 @@ class GatePlacement:
     a: int | None = None
     b: int | None = None
     theta: float | None = None
+
+
+def _check_placement(rank: int, p: GatePlacement) -> None:
+    if p.kind == "local":
+        if not 0 <= p.site < rank:
+            raise ValueError(f"site {p.site} out of range for rank {rank}")
+    elif not (0 <= p.a < rank and 0 <= p.b < rank) or p.a == p.b:
+        raise ValueError(f"sites ({p.a}, {p.b}) must be distinct and below rank {rank}")
 
 
 def local(site: int, op: SiteOp) -> GatePlacement:
@@ -207,11 +231,7 @@ class Circuit:
         object.__setattr__(self, "terms", tuple(self.terms))
         for term in self.terms:
             for p in term.factors:
-                if p.kind == "local":
-                    if not 0 <= p.site < self.rank:
-                        raise ValueError(f"site {p.site} out of range")
-                else:
-                    _check_pair(self.rank, p.a, p.b)
+                _check_placement(self.rank, p)
 
 
 @dataclass(frozen=True)
@@ -226,42 +246,71 @@ class CircuitPair:
     reduced: Circuit
 
 
-def _apply_placement(state: RegisterState, p: GatePlacement) -> RegisterState:
+def _placement_branches(p: GatePlacement) -> tuple[Branch, ...]:
     if p.kind == "local":
-        return apply_site_op(state, p.site, p.op)
+        return site_branches(p.site, p.op)
+    a, b = 1 << p.a, 1 << p.b
     if p.kind == "cnot":
-        return apply_cnot(state, p.a, p.b)
+        return ((a, 0, 0, 1 + 0j), (a, a, b, 1 + 0j))
     if p.kind == "T":
-        return apply_transpose_theta(state, p.a, p.b, p.theta)
+        up = complex(math.cos(p.theta), math.sin(p.theta))
+        both = a | b
+        return (
+            (both, 0, 0, 1 + 0j),
+            (both, both, 0, 1 + 0j),
+            (both, a, both, up),
+            (both, b, both, up.conjugate()),
+        )
     raise ValueError(f"unknown placement kind {p.kind!r}")
+
+
+def circuit_branches(circuit: Circuit) -> tuple[Branch, ...]:
+    """Each term composed rightmost factor first and weighted, in term order."""
+    out: list[Branch] = []
+    for term in circuit.terms:
+        branches = IDENTITY
+        for p in reversed(term.factors):
+            branches = compose(_placement_branches(p), branches)
+        out.extend((mask, value, flip, term.coeff * c) for mask, value, flip, c in branches)
+    return tuple(out)
+
+
+def _apply_one(state: RegisterState, p: GatePlacement) -> RegisterState:
+    _check_placement(state.rank, p)
+    return apply_branches(state.rank, _placement_branches(p), state)
+
+
+def apply_cnot(state: RegisterState, a: int, b: int) -> RegisterState:
+    """Flip bit b on every branch whose bit a is 1.  Self-inverse."""
+    return _apply_one(state, cnot(a, b))
+
+
+def apply_cnot_transpose(state: RegisterState, a: int, b: int) -> RegisterState:
+    """The transpose of CNOT(a, b), which is CNOT with control and target swapped."""
+    return _apply_one(state, cnot_transpose(a, b))
+
+
+def apply_transpose(state: RegisterState, a: int, b: int) -> RegisterState:
+    """Swap bits a and b on every branch."""
+    return _apply_one(state, transpose(a, b))
+
+
+def apply_transpose_theta(
+    state: RegisterState, a: int, b: int, theta: float
+) -> RegisterState:
+    """Swap bits a and b, phasing the (1,0) branch by e^{+i theta} and the
+    (0,1) branch by e^{-i theta}."""
+    return _apply_one(state, transpose_theta(a, b, theta))
 
 
 def apply_circuit(state: RegisterState, circuit: Circuit) -> RegisterState:
     """Apply the weighted sum; within a term the rightmost factor acts first."""
-    if state.rank != circuit.rank:
-        raise RankMismatchError(f"state rank {state.rank} vs circuit rank {circuit.rank}")
-    total = RegisterState.zero(state.rank)
-    for term in circuit.terms:
-        branch = state
-        for p in reversed(term.factors):
-            branch = _apply_placement(branch, p)
-        total = total.add(branch.scale(term.coeff))
-    return total
+    return apply_branches(circuit.rank, circuit_branches(circuit), state)
 
 
 def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
     """Dense 2**R matrix of the circuit, columns indexed by integer key."""
-    if circuit.rank > DENSE_MAX_RANK:
-        raise RankTooLargeError(
-            f"dense matrix needs rank <= {DENSE_MAX_RANK}, got {circuit.rank}"
-        )
-    dim = 1 << circuit.rank
-    mat = np.zeros((dim, dim), dtype=complex)
-    for key in range(dim):
-        column = apply_circuit(RegisterState.basis(circuit.rank, key), circuit)
-        for out_key, amp in column.items():
-            mat[out_key, key] = amp
-    return mat
+    return branch_matrix(circuit.rank, circuit_branches(circuit))
 
 
 def _placement_to_obj(p: GatePlacement) -> dict:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bosonreg.bosonic import (
     BosonicSubspaceVector,
@@ -77,6 +79,19 @@ def test_register_operator_algebra():
     assert composed == a.apply(b.apply(s))
     assert a.scale(2j).apply(s) == a.apply(s).scale(2j)
     assert RegisterOperator.identity(rank).apply(s) == s
+
+
+_RANK6_OPS = (
+    [b_lower(n, 6) for n in range(5)]
+    + [b_raise(n, 6) for n in range(5)]
+    + [bosonic_projector(n, 6) for n in range(6)]
+    + [ladder(d, PhysParams(1.3, 0.8, 1.1), 6) for d in ("lower", "raise")]
+)
+
+
+@given(a=st.sampled_from(_RANK6_OPS), b=st.sampled_from(_RANK6_OPS))
+def test_composition_matches_dense_product_exactly(a, b):
+    assert np.array_equal((a @ b).to_matrix(), a.to_matrix() @ b.to_matrix())
 
 
 def test_power_of_two_keys():

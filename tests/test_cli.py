@@ -79,6 +79,32 @@ def test_algebra_check_json(capsys):
     assert obj["passed"] is True
 
 
+ALGEBRA_CHECK_TEXT = """\
+PASS product-closure max_deviation=0
+PASS product-associativity max_deviation=0
+PASS gate-involutions max_deviation=0
+PASS transpose-construction max_deviation=0
+PASS tensor-identities max_deviation=6.123233995736766e-17
+algebra-check: PASS (5 groups, tol=1e-10)
+"""
+
+ALGEBRA_CHECK_JSON = (
+    '{"command":"algebra-check","tol":1e-10,"groups":['
+    '{"name":"product-closure","max_deviation":0,"passed":true},'
+    '{"name":"product-associativity","max_deviation":0,"passed":true},'
+    '{"name":"gate-involutions","max_deviation":0,"passed":true},'
+    '{"name":"transpose-construction","max_deviation":0,"passed":true},'
+    '{"name":"tensor-identities","max_deviation":6.123233995736766e-17,"passed":true}'
+    '],"passed":true}\n'
+)
+
+
+def test_algebra_check_exact_output(capsys):
+    """The report is pinned byte for byte, in text and in JSON."""
+    assert run(capsys, "algebra-check") == (0, ALGEBRA_CHECK_TEXT, "")
+    assert run(capsys, "algebra-check", "--format", "json") == (0, ALGEBRA_CHECK_JSON, "")
+
+
 def test_state_number(capsys):
     code, out, _ = run(capsys, "state", "number", "2", "--rank", "8")
     assert code == 0
@@ -88,6 +114,18 @@ def test_state_number(capsys):
     assert key == 4
     assert abs(complex(re, im) - 1) < 1e-10
     assert run(capsys, "state", "number", "9", "--rank", "8")[0] == 2
+
+
+def test_state_number_extreme_quanta(capsys):
+    """Large and tiny energy quanta neither overflow nor underflow the norm."""
+    for level, alpha in ((63, "1e10"), (40, "1e-10")):
+        code, out, err = run(
+            capsys, "state", "number", str(level), "--rank", "64", "--alpha", alpha
+        )
+        assert (code, err) == (0, "")
+        [[key, re, im]] = json.loads(out)["amplitudes"]
+        assert key == 2**level
+        assert abs(complex(re, im) - 1) < 1e-10
 
 
 def test_state_coherent(capsys):

@@ -1,5 +1,6 @@
 """CNOT and transpose gates, circuits, and their JSON form."""
 
+import cmath
 import math
 
 import numpy as np
@@ -123,10 +124,39 @@ def test_circuit_linearity():
     assert out == RegisterState(2, {1: 0.5, 2: -2j})
 
 
+def _single(rank, placement):
+    return circuit_to_matrix(Circuit(rank, (CircuitTerm(1, (placement,)),)))
+
+
 def test_circuit_matrix_matches_kron_oracle():
     c = Circuit(2, (CircuitTerm(1, (local(0, SiteOp.A), local(1, SiteOp.P1))),))
     oracle = np.kron(op_bit_matrix(SiteOp.P1), op_bit_matrix(SiteOp.A))
     assert np.array_equal(circuit_to_matrix(c), oracle)
+
+    eye = np.eye(2, dtype=complex)
+    for op in SiteOp:
+        if op is SiteOp.ZERO:
+            continue
+        for site in range(3):
+            factors = [op_bit_matrix(op) if s == site else eye for s in range(3)]
+            oracle = np.kron(factors[2], np.kron(factors[1], factors[0]))
+            assert np.array_equal(_single(3, local(site, op)), oracle), (op, site)
+
+    for a, b in ((0, 1), (1, 0), (0, 2), (2, 1)):
+        oracle = np.zeros((8, 8))
+        for key in range(8):
+            oracle[key ^ (((key >> a) & 1) << b), key] = 1
+        assert np.array_equal(_single(3, cnot(a, b)), oracle), (a, b)
+
+    for theta in (0.0, math.pi / 2, 0.7, -2.3):
+        up = cmath.exp(1j * theta)
+        t01 = np.array(
+            [[1, 0, 0, 0], [0, 0, up.conjugate(), 0], [0, up, 0, 0], [0, 0, 0, 1]]
+        )
+        assert np.array_equal(_single(2, transpose_theta(0, 1, theta)), t01)
+        assert np.array_equal(_single(3, transpose_theta(1, 2, theta)), np.kron(t01, eye))
+        # T(1, 0) is T(0, 1) with the phases exchanged
+        assert np.array_equal(_single(2, transpose_theta(1, 0, theta)), t01.T)
 
 
 def test_circuit_json_schema():
