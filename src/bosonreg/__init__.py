@@ -51,6 +51,7 @@ from .coherent import (
 )
 from .errors import (
     BosonRegError,
+    EnergyScaleError,
     NotBosonicError,
     NotFiniteCountableError,
     RankMismatchError,

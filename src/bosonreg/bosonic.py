@@ -34,12 +34,14 @@ gives a shorter circuit valid on bosonic states only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    EnergyScaleError,
     NotBosonicError,
     RankMismatchError,
     RankTooLargeError,
@@ -48,14 +50,16 @@ from .errors import (
 from .gates import (
     IDENTITY,
     Branch,
+    BranchIndex,
     Circuit,
     CircuitPair,
     CircuitTerm,
-    apply_branches,
     apply_circuit,  # noqa: F401  re-exported; benchmarks/selftest.py reads bosonic.apply_circuit
+    apply_index,
     branch_matrix,
     circuit_branches,
     compose,
+    index_branches,
     local,
     site_branches,
     transpose_theta,
@@ -104,6 +108,14 @@ class PhysParams:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite")
             object.__setattr__(self, name, value)
+        # eps must be a normal float, and the largest level weight sqrt(2 R eps)
+        # must stay finite at every rank
+        low, high = sys.float_info.min, sys.float_info.max / (2.0 * MAX_RANK)
+        if not low <= self.epsilon <= high:
+            raise EnergyScaleError(
+                f"epsilon = alpha * beta * hbar = {self.epsilon:.3g}"
+                f" is outside [{low:.3g}, {high:.3g}]"
+            )
 
     @property
     def omega(self) -> float:
@@ -117,23 +129,27 @@ class PhysParams:
 class RegisterOperator:
     """A linear map on register states, held as a tuple of monomial branches.
 
-    Application runs every stored amplitude through every branch, so cost
-    scales with the occupation of the state, not with 2**R.  Operators
-    combine by +, -, scalar *, and @ (composition, right factor first); each
-    combination concatenates, rescales or composes branches once, when the
-    operator is built.
+    The first application groups the branches by cond_mask and keeps that
+    index; every application then costs one lookup per stored amplitude and
+    mask, so cost scales with the occupation of the state, not with 2**R or
+    the branch count.  Operators combine by +, -, scalar *, and @
+    (composition, right factor first); each combination concatenates,
+    rescales or composes branches once, when the operator is built.
     """
 
-    __slots__ = ("rank", "branches")
+    __slots__ = ("rank", "branches", "_index")
 
     def __init__(self, rank: int, branches: Iterable[Branch]) -> None:
         if not 1 <= rank <= MAX_RANK:
             raise ValueError(f"rank must be in [1, {MAX_RANK}], got {rank}")
         self.rank = rank
         self.branches = tuple(branches)
+        self._index: BranchIndex | None = None
 
     def apply(self, state: RegisterState) -> RegisterState:
-        return apply_branches(self.rank, self.branches, state)
+        if self._index is None:
+            self._index = index_branches(self.branches)
+        return apply_index(self.rank, self._index, state)
 
     def _require_same_rank(self, other: "RegisterOperator") -> None:
         if self.rank != other.rank:

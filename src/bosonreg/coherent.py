@@ -138,7 +138,25 @@ def coherent_series(spec: CoherentSpec) -> CoherentState:
             amplitudes[1 << n] = amp
         kept += abs(amp) ** 2
         amp = amp * spec.z / math.sqrt(n + 1)
-    return CoherentState(RegisterState(spec.rank, amplitudes), max(0.0, 1.0 - kept))
+    tail = _poisson_tail(mean, spec.rank, abs(amp) ** 2, kept)
+    return CoherentState(RegisterState(spec.rank, amplitudes), tail)
+
+
+def _poisson_tail(mean: float, rank: int, first: float, kept: float) -> float:
+    """Probability of the levels n >= rank, whose first term (n = rank) is ``first``.
+
+    Up to mean = rank the terms fall from the first on and are summed
+    directly, so a tiny tail keeps its relative accuracy.  Past that the kept
+    mass is at most about one half and 1 - kept loses no digits.
+    """
+    if mean > rank:
+        return max(0.0, 1.0 - kept)
+    tail, term, n = 0.0, first, rank
+    while tail + term != tail:
+        tail += term
+        n += 1
+        term *= mean / n
+    return tail
 
 
 def number_distribution(state: RegisterState) -> np.ndarray:
@@ -220,7 +238,7 @@ def evolve(state: RegisterState, t: float, params: PhysParams) -> RegisterState:
         key: amp * cmath.exp(-1j * (key.bit_length() - 0.5) * rate)
         for key, amp in state.items()
     }
-    return RegisterState(state.rank, out)
+    return RegisterState._trusted(state.rank, out)
 
 
 @dataclass(frozen=True)
@@ -245,9 +263,14 @@ def trajectory(spec: CoherentSpec, times: np.ndarray) -> Trajectory:
     """Evolve the coherent state and tabulate <x>, <p>, <h> at each time."""
     times = np.asarray(times, dtype=float)
     start = coherent_series(spec).state
+    # one (raise, lower) pair serves both x and p
+    ladders = (
+        ladder("raise", spec.params, spec.rank),
+        ladder("lower", spec.params, spec.rank),
+    )
     ops = (
-        position(spec.params, spec.rank),
-        momentum(spec.params, spec.rank),
+        position(spec.params, spec.rank, ladders),
+        momentum(spec.params, spec.rank, ladders),
         hamiltonian(spec.params, spec.rank),
     )
     columns: list[list[float]] = [[], [], []]

@@ -27,3 +27,7 @@ class NotFiniteCountableError(BosonRegError):
 
 class TruncationRiskError(BosonRegError):
     """A coherent amplitude is too large for the configured rank to resolve."""
+
+
+class EnergyScaleError(BosonRegError, ValueError):
+    """The level spacing alpha * beta * hbar overflows or underflows a float."""

@@ -9,8 +9,10 @@ record describes such a rewrite, the branch
 which sends a key k with k & cond_mask == cond_value to k ^ xor_mask times
 coeff and annihilates every other key.  A linear map is a sequence of
 branches whose images add.  Site operators, gates, hops, projectors and whole
-circuits all compile to branches, and compose, apply_branches and
-branch_matrix are the only code that rewrites keys.
+circuits all compile to branches, and compose, apply_index and
+branch_matrix are the only code that rewrites keys.  Sparse application
+first groups the branches by cond_mask (index_branches); each stored key
+then finds the branches it meets by one lookup of key & cond_mask per mask.
 
 CNOT with control a and target b flips bit b exactly on branches where bit a
 is 1; its transpose is the same gate with the roles swapped.  The bit
@@ -21,8 +23,8 @@ T(a, b, theta) phases the two exchange branches oppositely:
     (bit a, bit b) = (0, 1)  ->  (1, 0)  times e^{-i theta}
 
 while equal-bit branches pass through unchanged; theta = 0 is the plain
-swap.  Sparse application costs stored amplitudes times branches, never
-2**R.
+swap.  Sparse application costs stored amplitudes times distinct masks
+plus the images produced, never 2**R.
 
 A Circuit is a complex-weighted sum of factor products, each factor being a
 single-site operator placement, a CNOT, or a phased transpose.  Within a
@@ -47,6 +49,9 @@ __all__ = [
     "Branch",
     "IDENTITY",
     "compose",
+    "BranchIndex",
+    "index_branches",
+    "apply_index",
     "apply_branches",
     "branch_matrix",
     "site_branches",
@@ -103,20 +108,51 @@ def compose(left: Iterable[Branch], right: Iterable[Branch]) -> tuple[Branch, ..
     return tuple(out)
 
 
+#: Branches grouped by cond_mask, each group a {cond_value: hits} table.  A hit
+#: is (position in the branch list, xor_mask, coeff); hits keep branch order.
+BranchIndex = tuple[tuple[int, dict[int, tuple[tuple[int, int, complex], ...]]], ...]
+
+
+def index_branches(branches: Iterable[Branch]) -> BranchIndex:
+    """Group the branches by cond_mask so a key finds its hits by lookup."""
+    tables: dict[int, dict[int, list]] = {}
+    for position, (mask, value, flip, coeff) in enumerate(branches):
+        tables.setdefault(mask, {}).setdefault(value, []).append(
+            (position, flip, complex(coeff))
+        )
+    return tuple(
+        (mask, {value: tuple(hits) for value, hits in table.items()})
+        for mask, table in tables.items()
+    )
+
+
+def apply_index(rank: int, index: BranchIndex, state: RegisterState) -> RegisterState:
+    """Sparse action: each stored key looks up ``key & cond_mask`` once per mask.
+
+    A key that hits branches under several masks adds its images in branch
+    order, so every sum is taken in the order of a plain scan over the
+    branches.
+    """
+    if state.rank != rank:
+        raise RankMismatchError(f"state rank {state.rank} vs operator rank {rank}")
+    acc: dict[int, complex] = {}
+    for key, amp in state.items():
+        hits: tuple = ()
+        for mask, table in index:
+            found = table.get(key & mask)
+            if found:
+                hits = tuple(sorted(hits + found)) if hits else found
+        for _, flip, coeff in hits:
+            out_key = key ^ flip
+            acc[out_key] = acc.get(out_key, 0j) + amp * coeff
+    return RegisterState._trusted(rank, acc)
+
+
 def apply_branches(
     rank: int, branches: Iterable[Branch], state: RegisterState
 ) -> RegisterState:
-    """Sparse action: every stored amplitude through every branch, images summed."""
-    if state.rank != rank:
-        raise RankMismatchError(f"state rank {state.rank} vs operator rank {rank}")
-    branches = tuple(branches)
-    acc: dict[int, complex] = {}
-    for key, amp in state.items():
-        for mask, value, flip, coeff in branches:
-            if key & mask == value:
-                out_key = key ^ flip
-                acc[out_key] = acc.get(out_key, 0j) + amp * coeff
-    return RegisterState(rank, acc)
+    """Sparse action of a branch list, indexed for this one call."""
+    return apply_index(rank, index_branches(branches), state)
 
 
 def branch_matrix(rank: int, branches: Iterable[Branch]) -> np.ndarray:

@@ -248,6 +248,17 @@ class RegisterState:
         self._amp = amp
 
     @classmethod
+    def _trusted(cls, rank: int, amplitudes: dict[int, complex]) -> "RegisterState":
+        """Internal results, whose keys are in range and values already complex.
+
+        Skips the per-key checks of __init__ but drops exact zeros as it does.
+        """
+        state = cls.__new__(cls)
+        state.rank = rank
+        state._amp = {key: value for key, value in amplitudes.items() if abs(value) > 0.0}
+        return state
+
+    @classmethod
     def basis(cls, rank: int, key: int) -> "RegisterState":
         return cls(rank, {key: 1.0 + 0j})
 
@@ -316,10 +327,11 @@ class RegisterState:
         out = dict(self._amp)
         for key, value in other._amp.items():
             out[key] = out.get(key, 0j) + value
-        return RegisterState(self.rank, out)
+        return RegisterState._trusted(self.rank, out)
 
     def scale(self, factor: complex) -> "RegisterState":
-        return RegisterState(
+        factor = complex(factor)
+        return RegisterState._trusted(
             self.rank, {k: factor * v for k, v in self._amp.items()}
         )
 

@@ -31,7 +31,7 @@ from bosonreg.bosonic import (
     register_block,
     site_product,
 )
-from bosonreg.errors import NotBosonicError, ZeroVectorError
+from bosonreg.errors import EnergyScaleError, NotBosonicError, ZeroVectorError
 from bosonreg.fock import build_fock, intertwine_check
 from bosonreg.gates import apply_circuit
 from bosonreg.qubit import SiteOp, op_bit_matrix
@@ -48,6 +48,9 @@ def test_phys_params_derived_quantities():
         PhysParams(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         PhysParams(1.0, -2.0, 1.0)
+    for scale in (1e200, 1e-200):
+        with pytest.raises(EnergyScaleError):
+            PhysParams(scale, scale, 1.0)
 
 
 def test_site_product_matches_kron_oracle():
@@ -213,6 +216,28 @@ def test_number_state_built_by_raising():
         for m in range(5):
             overlap = number_state(n, PARAMS, 8).inner_product(number_state(m, PARAMS, 8))
             assert abs(overlap - (1 if n == m else 0)) < 1e-10
+
+
+def test_number_state_keeps_one_key_at_every_level():
+    """Each raising maps the one stored key to one key, so the len check holds."""
+    params = PhysParams(1.3, 0.8, 1.1)
+    for n in range(64):
+        state = number_state(n, params, 64)
+        assert len(state) == 1 and set(state.amplitudes) == {1 << n}
+
+
+def test_exact_cancellation_stores_no_zero():
+    rank = 6
+    hop = b_lower(0, rank)
+    assert len((hop - hop).apply(RegisterState.basis(rank, 2))) == 0
+    # On the empty key T(n, n+1) and -P0 P0 cancel for every n, and so do
+    # T and -P1 P1 on a doubly occupied pair; only the bosonic part survives.
+    full = gate_decomposition("position", PARAMS, rank).full
+    mixed = RegisterState(rank, {0: 1.0, 0b11: 0.5j, 0b1100: -2.0, 1 << 3: 0.25})
+    image = apply_circuit(mixed, full)
+    assert len(apply_circuit(RegisterState.basis(rank, 0), full)) == 0
+    assert set(image.amplitudes) == {1 << 2, 1 << 4}
+    assert all(value != 0 for value in image.amplitudes.values())
 
 
 def test_number_state_with_scaled_quanta():

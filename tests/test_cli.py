@@ -128,6 +128,16 @@ def test_state_number_extreme_quanta(capsys):
         assert abs(complex(re, im) - 1) < 1e-10
 
 
+def test_state_number_energy_quantum_out_of_range(capsys):
+    """alpha * beta * hbar overflowing or underflowing is refused in one line."""
+    for scale in ("1e200", "1e-200"):
+        code, out, err = run(
+            capsys, "state", "number", "3", "--rank", "8", "--alpha", scale, "--beta", scale
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("bosonreg: error: epsilon") and err.count("\n") == 1
+
+
 def test_state_coherent(capsys):
     code, out, _ = run(capsys, "state", "coherent", "0+0i")
     assert code == 0
@@ -139,6 +149,11 @@ def test_state_coherent(capsys):
     obj = json.loads(out)
     assert len(obj["amplitudes"]) == 32
     assert obj["tail_mass"] < 1e-20
+
+    # a tail far below 1e-16 is summed directly, not lost to 1 - kept
+    code, out, _ = run(capsys, "state", "coherent", "0.1", "--rank", "64")
+    leading = math.exp(-0.01 + 64 * math.log(0.01) - math.lgamma(65))
+    assert leading < json.loads(out)["tail_mass"] < leading * (1 + 0.01 / 64)
 
 
 def test_state_coherent_guard(capsys):

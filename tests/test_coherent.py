@@ -78,6 +78,23 @@ def test_tail_mass_matches_poisson_tail():
     assert abs(built.tail_mass - (1 - kept)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "z, rank", [(0.1, 64), (1e-7, 2), (0.3 - 0.4j, 16), (2.0, 8), (4.0, 8)]
+)
+def test_tail_mass_keeps_relative_accuracy(z, rank):
+    """The tail is its leading term e^{-|z|^2} |z|^{2R} / R! times the ratio
+    sum over k of |z|^{2k} R! / (R + k)!, both taken here through lgamma."""
+    mean = abs(z) ** 2
+    spec = CoherentSpec(z, PARAMS, rank, allow_truncation_risk=True)
+    leading = math.exp(-mean + rank * math.log(mean) - math.lgamma(rank + 1))
+    ratio = math.fsum(
+        math.exp(k * math.log(mean) + math.lgamma(rank + 1) - math.lgamma(rank + k + 1))
+        for k in range(120)
+    )
+    expected = leading * ratio
+    assert abs(coherent_series(spec).tail_mass - expected) <= 1e-12 * expected
+
+
 def test_polar_construction():
     spec = CoherentSpec.from_polar(0.3, 0.0, PARAMS, 8)
     assert abs(spec.z - 0.3j) < 1e-15

@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bosonreg.bosonic import PhysParams, b_lower, b_raise, bosonic_projector, ladder
 from bosonreg.gates import (
+    IDENTITY,
     Circuit,
     CircuitTerm,
+    apply_branches,
     apply_circuit,
     apply_cnot,
     apply_cnot_transpose,
     apply_transpose,
     apply_transpose_theta,
+    circuit_branches,
     circuit_from_json,
     circuit_to_json,
     circuit_to_json_obj,
@@ -25,6 +29,7 @@ from bosonreg.gates import (
     cnot_transpose,
     conjugated_cnot_matrix,
     local,
+    site_branches,
     transpose,
     transpose_theta,
     transpose_theta_matrix,
@@ -221,3 +226,58 @@ def test_cnot_entangles_superposed_control():
     assert not separability_check(*rank2_coefficients(out))
     classical = apply_cnot(RegisterState.basis(2, 1), 0, 1)
     assert separability_check(*rank2_coefficients(classical))
+
+
+def _scan(branches, state: RegisterState) -> dict:
+    """Reference action: keys outer, every branch tested in order inside."""
+    acc = {}
+    for key, amp in state.items():
+        for mask, value, flip, coeff in branches:
+            if key & mask == value:
+                acc[key ^ flip] = acc.get(key ^ flip, 0j) + amp * coeff
+    return {key: value for key, value in acc.items() if abs(value) > 0.0}
+
+
+_KINDS = ("identity", "cnot", "T", "hop", "projector", "ladder", "local")
+_WEIGHTS = (1 + 0j, -1 + 0j, 0.5j, 1.3 - 0.2j)
+_AMPS = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+
+
+def _draw_piece(data, kind: str, rank: int) -> tuple:
+    n = data.draw(st.integers(0, rank - 2))
+    if kind == "identity":
+        return IDENTITY
+    if kind in ("cnot", "T"):
+        a, b = data.draw(st.permutations((n, n + 1)))
+        if kind == "cnot":
+            gate = cnot(a, b)
+        else:
+            gate = transpose_theta(a, b, data.draw(st.floats(-4, 4)))
+        return circuit_branches(Circuit(rank, (CircuitTerm(1, (gate,)),)))
+    if kind == "hop":
+        return data.draw(st.sampled_from((b_lower, b_raise)))(n, rank).branches
+    if kind == "projector":
+        return bosonic_projector(n, rank).branches
+    if kind == "ladder":
+        direction = data.draw(st.sampled_from(("lower", "raise")))
+        return ladder(direction, PhysParams(1.3, 0.8, 1.1), rank).branches
+    return site_branches(n, data.draw(st.sampled_from(list(SiteOp))))
+
+
+@given(data=st.data())
+def test_indexed_apply_matches_branch_scan(data):
+    """Mixed-mask branch lists give the scan's sums exactly and in its key order."""
+    rank = data.draw(st.integers(3, 10))
+    branches = []
+    for kind in data.draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6)):
+        weight = data.draw(st.sampled_from(_WEIGHTS))
+        branches += [(m, v, f, weight * c) for m, v, f, c in _draw_piece(data, kind, rank)]
+    keys = st.one_of(
+        st.integers(0, rank - 1).map(lambda n: 1 << n), st.integers(0, (1 << rank) - 1)
+    )
+    amplitudes = data.draw(st.dictionaries(keys, _AMPS, min_size=1, max_size=8))
+    state = RegisterState(rank, amplitudes)
+    expected = _scan(branches, state)
+    image = apply_branches(rank, branches, state)
+    assert image.amplitudes == expected
+    assert list(image.amplitudes) == list(expected)
