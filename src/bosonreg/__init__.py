@@ -54,6 +54,7 @@ from .errors import (
     EnergyScaleError,
     NotBosonicError,
     NotFiniteCountableError,
+    PhaseOverflowError,
     RankMismatchError,
     RankTooLargeError,
     TruncationRiskError,
@@ -66,8 +67,6 @@ from .gates import (
     CircuitTerm,
     apply_circuit,
     apply_cnot,
-    apply_cnot_transpose,
-    apply_transpose,
     apply_transpose_theta,
     circuit_from_json,
     circuit_to_json,

@@ -354,10 +354,6 @@ def momentum(
     return (up - down).scale(1j / (2.0 * params.alpha))
 
 
-def _projector_locals(rank: int, skip: tuple[int, int]) -> list:
-    return [local(j, SiteOp.P0) for j in range(rank) if j not in skip]
-
-
 def decomposition_terms(
     rank: int, weights: Sequence[complex], theta: float
 ) -> tuple[tuple[CircuitTerm, ...], tuple[CircuitTerm, ...]]:
@@ -365,15 +361,18 @@ def decomposition_terms(
 
     For each adjacent pair (n, n+1) with weight w_n the full form contributes
     w_n {T(n, n+1, theta) - P0 P0 - P1 P1} conjugated by empty projectors on
-    all other sites; the reduced form keeps only the T part.
+    all other sites; the reduced form keeps only the T part.  The 2R
+    projector placements are built once and shared by every term.
     """
+    p0 = [local(j, SiteOp.P0) for j in range(rank)]
+    p1 = [local(j, SiteOp.P1) for j in range(rank)]
     full: list[CircuitTerm] = []
     reduced: list[CircuitTerm] = []
     for n, w in enumerate(weights):
-        guards = _projector_locals(rank, (n, n + 1))
+        guards = p0[:n] + p0[n + 2:]
         t_factors = tuple(guards + [transpose_theta(n, n + 1, theta)])
-        p0_factors = tuple(guards + [local(n, SiteOp.P0), local(n + 1, SiteOp.P0)])
-        p1_factors = tuple(guards + [local(n, SiteOp.P1), local(n + 1, SiteOp.P1)])
+        p0_factors = tuple(guards + p0[n:n + 2])
+        p1_factors = tuple(guards + p1[n:n + 2])
         full.append(CircuitTerm(w, t_factors))
         full.append(CircuitTerm(-w, p0_factors))
         full.append(CircuitTerm(-w, p1_factors))

@@ -46,7 +46,7 @@ from .bosonic import (
     project,
     register_block,
 )
-from .errors import NotBosonicError, TruncationRiskError, ZeroVectorError
+from .errors import NotBosonicError, PhaseOverflowError, TruncationRiskError, ZeroVectorError
 from .gates import Circuit, CircuitPair
 from .jsonio import fmt_float
 from .register import RegisterState
@@ -218,11 +218,17 @@ def displacement_generator_gateform(spec: CoherentSpec) -> CircuitPair:
     return CircuitPair(Circuit(spec.rank, full), Circuit(spec.rank, reduced))
 
 
-def expectation(op: RegisterOperator, state: RegisterState) -> complex:
-    """(state | op state) / (state | state)."""
+def _norm_sq(state: RegisterState) -> float:
+    """(state | state), which an expectation value divides by; never zero."""
     norm_sq = state.inner_product(state).real
     if norm_sq == 0.0:
         raise ZeroVectorError("expectation value of the zero vector is undefined")
+    return norm_sq
+
+
+def expectation(op: RegisterOperator, state: RegisterState) -> complex:
+    """(state | op state) / (state | state)."""
+    norm_sq = _norm_sq(state)
     return state.inner_product(op.apply(state)) / norm_sq
 
 
@@ -230,10 +236,17 @@ def evolve(state: RegisterState, t: float, params: PhysParams) -> RegisterState:
     """Free evolution: turn the level-n amplitude by e^{-i (n+1/2) eps t / hbar}.
 
     Defined on the bosonic subspace only; any transbosonic key is an error
-    because no level phase is assigned to it.
+    because no level phase is assigned to it.  A phase that overflows a
+    float is refused, since its amplitude would turn into NaN.
     """
     check_transbosonic(state)
     rate = params.epsilon * t / params.hbar
+    # the top level's phase is (R - 1/2) * rate
+    if not math.isfinite((state.rank - 0.5) * rate):
+        raise PhaseOverflowError(
+            f"evolution phase overflows: epsilon * t / hbar = {rate:.3g}"
+            f" at t = {t:.6g}, rank {state.rank}"
+        )
     out = {
         key: amp * cmath.exp(-1j * (key.bit_length() - 0.5) * rate)
         for key, amp in state.items()
@@ -276,8 +289,9 @@ def trajectory(spec: CoherentSpec, times: np.ndarray) -> Trajectory:
     columns: list[list[float]] = [[], [], []]
     for t in times:
         snapshot = evolve(start, float(t), spec.params)
+        norm_sq = _norm_sq(snapshot)
         for column, op in zip(columns, ops):
-            column.append(expectation(op, snapshot).real)
+            column.append((snapshot.inner_product(op.apply(snapshot)) / norm_sq).real)
     return Trajectory(
         times,
         np.array(columns[0]),

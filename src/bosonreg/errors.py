@@ -31,3 +31,7 @@ class TruncationRiskError(BosonRegError):
 
 class EnergyScaleError(BosonRegError, ValueError):
     """The level spacing alpha * beta * hbar overflows or underflows a float."""
+
+
+class PhaseOverflowError(BosonRegError, ValueError):
+    """A free-evolution phase (n + 1/2) epsilon t / hbar overflows a float."""

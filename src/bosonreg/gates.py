@@ -57,8 +57,6 @@ __all__ = [
     "site_branches",
     "circuit_branches",
     "apply_cnot",
-    "apply_cnot_transpose",
-    "apply_transpose",
     "apply_transpose_theta",
     "GatePlacement",
     "local",
@@ -301,12 +299,20 @@ def _placement_branches(p: GatePlacement) -> tuple[Branch, ...]:
 
 
 def circuit_branches(circuit: Circuit) -> tuple[Branch, ...]:
-    """Each term composed rightmost factor first and weighted, in term order."""
+    """Each term composed rightmost factor first and weighted, in term order.
+
+    A placement object that recurs in the circuit (decompositions and
+    parsed circuits share theirs) is compiled once per call.
+    """
+    compiled: dict[int, tuple[Branch, ...]] = {}
     out: list[Branch] = []
     for term in circuit.terms:
         branches = IDENTITY
         for p in reversed(term.factors):
-            branches = compose(_placement_branches(p), branches)
+            own = compiled.get(id(p))
+            if own is None:
+                own = compiled[id(p)] = _placement_branches(p)
+            branches = compose(own, branches)
         out.extend((mask, value, flip, term.coeff * c) for mask, value, flip, c in branches)
     return tuple(out)
 
@@ -321,16 +327,6 @@ def apply_cnot(state: RegisterState, a: int, b: int) -> RegisterState:
     return _apply_one(state, cnot(a, b))
 
 
-def apply_cnot_transpose(state: RegisterState, a: int, b: int) -> RegisterState:
-    """The transpose of CNOT(a, b), which is CNOT with control and target swapped."""
-    return _apply_one(state, cnot_transpose(a, b))
-
-
-def apply_transpose(state: RegisterState, a: int, b: int) -> RegisterState:
-    """Swap bits a and b on every branch."""
-    return _apply_one(state, transpose(a, b))
-
-
 def apply_transpose_theta(
     state: RegisterState, a: int, b: int, theta: float
 ) -> RegisterState:
@@ -340,7 +336,12 @@ def apply_transpose_theta(
 
 
 def apply_circuit(state: RegisterState, circuit: Circuit) -> RegisterState:
-    """Apply the weighted sum; within a term the rightmost factor acts first."""
+    """Apply the weighted sum; within a term the rightmost factor acts first.
+
+    The circuit is compiled to branches on every call.  Code that applies
+    one circuit to many states should build
+    ``bosonic.circuit_as_operator(circuit)`` once and apply that.
+    """
     return apply_branches(circuit.rank, circuit_branches(circuit), state)
 
 
@@ -386,14 +387,27 @@ def _placement_from_obj(obj: Mapping) -> GatePlacement:
 
 
 def circuit_from_json_obj(obj: Mapping) -> Circuit:
-    terms = tuple(
-        CircuitTerm(
-            complex(t["coeff"]["re"], t["coeff"]["im"]),
-            tuple(_placement_from_obj(p) for p in t["factors"]),
-        )
-        for t in obj["terms"]
-    )
-    return Circuit(int(obj["rank"]), terms)
+    """Parse a circuit object; equal factor objects yield one shared placement.
+
+    A local or cnot factor is parsed once per call for each distinct set of
+    the fields it is read from.  T factors are parsed every time: 0.0 == -0.0
+    as a key, so sharing would lose the sign of a zero theta.
+    """
+    parsed: dict[tuple, GatePlacement] = {}
+    terms = []
+    for t in obj["terms"]:
+        factors = []
+        for p in t["factors"]:
+            if p["type"] == "T":
+                factors.append(_placement_from_obj(p))
+                continue
+            key = (p["type"], p.get("site"), p.get("op"), p.get("a"), p.get("b"))
+            placement = parsed.get(key)
+            if placement is None:
+                placement = parsed[key] = _placement_from_obj(p)
+            factors.append(placement)
+        terms.append(CircuitTerm(complex(t["coeff"]["re"], t["coeff"]["im"]), tuple(factors)))
+    return Circuit(int(obj["rank"]), tuple(terms))
 
 
 def circuit_from_json(text: str) -> Circuit:

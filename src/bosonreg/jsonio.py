@@ -2,13 +2,15 @@
 
 Every float is written with 17 significant digits so output is reproducible
 across runs and machines, and parsing it back recovers the double exactly.
-Parsing is delegated to the standard library.
+Strings and keys are quoted by the standard library's ASCII encoder, as
+``json.dumps`` quotes them.  Parsing is delegated to the standard library.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 __all__ = ["dumps", "loads", "fmt_float"]
@@ -22,23 +24,45 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps(obj: Any) -> str:
+_EXACT = frozenset((str, dict, list, tuple, int, float))
+
+
+def _kind(obj: Any) -> type:
+    """The JSON kind of a value whose type is not one of the exact built-ins."""
     if isinstance(obj, bool):
-        return "true" if obj else "false"
+        return bool
     if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = (json.dumps(str(k)) + ":" + dumps(v) for k, v in obj.items())
-        return "{" + ",".join(items) + "}"
+        return type(None)
+    for kind in (int, float, str, list, tuple, dict):
+        if isinstance(obj, kind):
+            return kind
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def dumps(obj: Any) -> str:
+    """Compact JSON text of nested dicts, lists, tuples, strings and numbers.
+
+    Values of the exact built-in types dispatch on ``type(obj)``; bool, None
+    and subclasses (``np.float64``, say) are first mapped to their kind.
+    Each nesting level is joined on its own, so no list of the whole
+    document's pieces is ever held.
+    """
+    kind = type(obj)
+    if kind not in _EXACT:
+        kind = _kind(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is dict:
+        return "{" + ",".join([_quote(str(k)) + ":" + dumps(v) for k, v in obj.items()]) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ",".join([dumps(v) for v in obj]) + "]"
+    if kind is int:
+        return str(obj)
+    if kind is float:
+        return fmt_float(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    return "null"
 
 
 def loads(text: str) -> Any:

@@ -1,7 +1,10 @@
 """End-to-end command-line behavior, run in process."""
 
+import hashlib
 import json
 import math
+
+import pytest
 
 from bosonreg.cli import main, parse_complex
 from bosonreg.gates import circuit_from_json_obj
@@ -205,6 +208,28 @@ def test_decompose_displacement(capsys):
     assert run(capsys, "decompose", "position", "--z", "0.1", "--rank", "4")[0] == 2
 
 
+# digests of the output of the isinstance-chain emitter that the exact-type
+# fast path replaced; decompose output must stay byte for byte the same
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("decompose", "displacement", "--z=0.3+0.2i", "--rank", "64"),
+            "aa716828aefdc0f058d6b85c31a2a24bcd7abb0e94baf6c6fb4a571123bd2de1",
+        ),
+        (
+            ("decompose", "momentum", "--rank", "40", "--alpha", "1.3"),
+            "50263b00a85612abef3c115c685dc895cd00404218f8bcc2c3059fcbedef799b",
+        ),
+    ],
+    ids=["displacement-64", "momentum-40"],
+)
+def test_decompose_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_evolve_at_rest(capsys):
     code, out, _ = run(
         capsys, "evolve", "--z", "0", "--t1", "1.0", "--steps", "4", "--rank", "8"
@@ -233,6 +258,17 @@ def test_evolve_validation(capsys):
     assert run(capsys, "evolve", "--z", "0.5", "--t1", "1", "--steps", "1")[0] == 2
     assert run(capsys, "evolve", "--z", "0.5", "--t1", "-1")[0] == 2
     assert run(capsys, "evolve", "--z", "0.5", "--t1", "1", "--format", "json")[0] == 2
+
+
+def test_evolve_refuses_overflowing_phase(capsys):
+    code, out, err = run(
+        capsys, "evolve", "--z", "0.5", "--t1", "1e10", "--steps", "3",
+        "--alpha", "1e150", "--beta", "1e150", "--hbar", "1e-300",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("bosonreg: error: evolution phase overflows")
 
 
 def test_config_validation(capsys):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,8 +23,14 @@ from bosonreg.coherent import (
     number_distribution,
     trajectory,
 )
-from bosonreg.bosonic import circuit_as_operator, hamiltonian, position, register_block
-from bosonreg.errors import NotBosonicError, TruncationRiskError
+from bosonreg.bosonic import (
+    circuit_as_operator,
+    hamiltonian,
+    momentum,
+    position,
+    register_block,
+)
+from bosonreg.errors import NotBosonicError, PhaseOverflowError, TruncationRiskError
 from bosonreg.fock import build_fock
 from bosonreg.register import RegisterState
 
@@ -175,6 +182,25 @@ def test_evolution_preserves_norm_and_rejects_transbosonic():
     assert abs(evolve(state, 2.1, PARAMS).norm() - 1) < 1e-14
     with pytest.raises(NotBosonicError):
         evolve(RegisterState.basis(4, 3), 1.0, PARAMS)
+
+
+def test_evolution_refuses_an_overflowing_phase():
+    top = RegisterState.basis(64, 1 << 63)
+    # the rate is finite but the top level's phase, 63.5 times it, is not
+    with pytest.raises(PhaseOverflowError, match="overflows"):
+        evolve(top, sys.float_info.max / 10, PARAMS)
+    assert abs(evolve(top, sys.float_info.max / 64, PARAMS).norm() - 1) < 1e-15
+
+
+def test_trajectory_matches_expectation():
+    spec = CoherentSpec(0.7 - 0.4j, PARAMS, 12)
+    times = np.linspace(0.0, 3.0, 5)
+    traj = trajectory(spec, times)
+    ops = (position(PARAMS, 12), momentum(PARAMS, 12), hamiltonian(PARAMS, 12))
+    for i, t in enumerate(times):
+        snapshot = evolve(coherent_series(spec).state, float(t), PARAMS)
+        got = (traj.x[i], traj.p[i], traj.h[i])
+        assert got == tuple(expectation(op, snapshot).real for op in ops)
 
 
 def test_trajectory_against_dense_oracle():

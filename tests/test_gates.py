@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bosonreg.bosonic import PhysParams, b_lower, b_raise, bosonic_projector, ladder
+from bosonreg.bosonic import (
+    PhysParams,
+    b_lower,
+    b_raise,
+    bosonic_projector,
+    gate_decomposition,
+    ladder,
+)
+from bosonreg.coherent import CoherentSpec, displacement_generator_gateform
 from bosonreg.gates import (
     IDENTITY,
     Circuit,
@@ -16,8 +24,6 @@ from bosonreg.gates import (
     apply_branches,
     apply_circuit,
     apply_cnot,
-    apply_cnot_transpose,
-    apply_transpose,
     apply_transpose_theta,
     circuit_branches,
     circuit_from_json,
@@ -27,6 +33,7 @@ from bosonreg.gates import (
     cnot,
     cnot_matrix,
     cnot_transpose,
+    compose,
     conjugated_cnot_matrix,
     local,
     site_branches,
@@ -72,10 +79,11 @@ def test_transpose_from_cnots_exactly():
 
 
 def test_transpose_swaps_single_occupancy_keys():
-    s = apply_transpose(RegisterState.basis(2, 1), 0, 1)
+    s = apply_transpose_theta(RegisterState.basis(2, 1), 0, 1, 0.0)
     assert s == RegisterState.basis(2, 2)
     for key in (0, 3):
-        assert apply_transpose(RegisterState.basis(2, key), 0, 1) == RegisterState.basis(2, key)
+        image = apply_transpose_theta(RegisterState.basis(2, key), 0, 1, 0.0)
+        assert image == RegisterState.basis(2, key)
 
 
 def test_twisted_transpose_phases():
@@ -99,7 +107,8 @@ def test_cnot_transpose_canonical_form():
     assert cnot_transpose(0, 1) == cnot(1, 0)
     assert transpose(0, 1) == transpose_theta(0, 1, 0.0)
     state = RegisterState.basis(2, 2)
-    assert apply_cnot_transpose(state, 0, 1) == apply_cnot(state, 1, 0)
+    swapped = Circuit(2, (CircuitTerm(1, (cnot_transpose(0, 1),)),))
+    assert apply_circuit(state, swapped) == apply_cnot(state, 1, 0)
 
 
 def test_local_placement_rejects_zero_op():
@@ -198,6 +207,59 @@ def test_circuit_json_roundtrip():
         ),
     )
     assert circuit_from_json(circuit_to_json(c)) == c
+
+
+@pytest.mark.parametrize("kind", ["position", "momentum", "displacement"])
+def test_rank64_decompositions_round_trip(kind):
+    params = PhysParams(1.3, 0.8, 1.1)
+    if kind == "displacement":
+        pair = displacement_generator_gateform(CoherentSpec(0.3 + 0.2j, params, 64))
+    else:
+        pair = gate_decomposition(kind, params, 64)
+    for circuit in (pair.full, pair.reduced):
+        assert circuit_from_json(circuit_to_json(circuit)) == circuit
+
+
+def test_parsed_zero_theta_keeps_its_sign():
+    """0.0 == -0.0, so equal-looking T factors must not share one parse."""
+    text = (
+        '{"rank": 2, "terms": [{"coeff": {"re": 1.0, "im": 0.0}, "factors": ['
+        '{"type": "T", "a": 0, "b": 1, "theta": 0.0},'
+        '{"type": "T", "a": 0, "b": 1, "theta": -0.0}]}]}'
+    )
+    first, second = circuit_from_json(text).terms[0].factors
+    assert math.copysign(1.0, first.theta) == 1.0
+    assert math.copysign(1.0, second.theta) == -1.0
+
+
+def test_circuit_branches_with_repeated_placements():
+    """Shared and equal-but-distinct placements compile as if each factor
+    were compiled on its own."""
+    pool = [
+        local(0, SiteOp.A),
+        local(1, SiteOp.APLUS),
+        cnot(0, 2),
+        transpose_theta(1, 2, 0.7),
+        local(0, SiteOp.A),
+        transpose_theta(1, 2, -0.4),
+        local(2, SiteOp.P1),
+    ]
+    picks = [(0, 1, 0), (2, 3, 4, 2), (5, 0, 6, 0, 3), (1,), (), (6, 6, 4)]
+    circuit = Circuit(
+        3,
+        tuple(
+            CircuitTerm(0.5 - 0.25j * k, tuple(pool[i] for i in pick))
+            for k, pick in enumerate(picks)
+        ),
+    )
+    expected = []
+    for term in circuit.terms:
+        branches = IDENTITY
+        for p in reversed(term.factors):
+            alone = circuit_branches(Circuit(3, (CircuitTerm(1, (p,)),)))
+            branches = compose(alone, branches)
+        expected += [(m, v, f, term.coeff * c) for m, v, f, c in branches]
+    assert circuit_branches(circuit) == tuple(expected)
 
 
 def test_circuit_validates_sites():
