@@ -33,7 +33,7 @@ from .register import (
 __all__ = ["main", "parse_complex"]
 
 
-class _UsageError(Exception):
+class _UsageError(BosonRegError):
     pass
 
 
@@ -388,9 +388,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"bosonreg: error: {exc}", file=sys.stderr)
-        return 2
     except BosonRegError as exc:
         print(f"bosonreg: error: {exc}", file=sys.stderr)
         return 2

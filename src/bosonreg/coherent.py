@@ -72,8 +72,8 @@ class CoherentSpec:
     """A coherent amplitude pinned to a rank and parameter set.
 
     The guard |z|^2 <= R/4 keeps the Poisson mean far enough below the top
-    level for the truncated series to be trustworthy; pass
-    allow_truncation_risk=True to study the degradation deliberately.
+    level for the truncated series to be trustworthy; allow_truncation_risk=True
+    lifts it to study the degradation, but an overflowing |z|^2 is refused.
     """
 
     z: complex
@@ -85,7 +85,10 @@ class CoherentSpec:
         object.__setattr__(self, "z", complex(self.z))
         if not 1 <= self.rank:
             raise ValueError("rank must be positive")
-        mean = abs(self.z) ** 2
+        try:
+            mean = abs(self.z) ** 2
+        except OverflowError:
+            raise TruncationRiskError(f"|z|^2 overflows a float for z = {self.z}") from None
         if mean > self.rank / 4.0 and not self.allow_truncation_risk:
             raise TruncationRiskError(
                 f"|z|^2 = {mean:.3g} exceeds rank/4 = {self.rank / 4.0:.3g}"

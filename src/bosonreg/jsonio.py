@@ -1,7 +1,8 @@
 """Minimal JSON emitter with a fixed float format.
 
 Every float is written with 17 significant digits so output is reproducible
-across runs and machines, and parsing it back recovers the double exactly.
+across runs and machines.  Parsing it back gives an equal value, but a whole
+float comes back as an int (``-0.0`` is written ``-0``, losing its sign).
 Strings and keys are quoted by the standard library's ASCII encoder, as
 ``json.dumps`` quotes them.  Parsing is delegated to the standard library.
 """

@@ -220,9 +220,9 @@ class RegisterState:
     """Sparse complex amplitudes over the 2**R classical keys.
 
     Instances are value objects: every operation returns a new state and the
-    stored map must not be mutated.  Amplitudes with modulus at or below the
-    construction threshold (default exactly zero) are never stored, so the
-    zero vector is the state with an empty map.
+    stored map must not be mutated.  Amplitudes of modulus exactly zero (and
+    NaN, whose modulus compares false) are never stored, so the zero vector is
+    the state with an empty map.
     """
 
     __slots__ = ("rank", "_amp")
@@ -231,8 +231,6 @@ class RegisterState:
         self,
         rank: int,
         amplitudes: Mapping[int, complex] | Iterable[tuple[int, complex]] = (),
-        *,
-        threshold: float = 0.0,
     ) -> None:
         self.rank = _check_rank(rank)
         items = amplitudes.items() if isinstance(amplitudes, Mapping) else amplitudes
@@ -243,7 +241,7 @@ class RegisterState:
             if not 0 <= key < top:
                 raise ValueError(f"key {key} out of range for rank {rank}")
             value = complex(value)
-            if abs(value) > threshold:
+            if abs(value) > 0.0:
                 amp[key] = value
         self._amp = amp
 

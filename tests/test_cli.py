@@ -3,9 +3,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bosonreg
 from bosonreg.cli import main, parse_complex
 from bosonreg.gates import circuit_from_json_obj
 
@@ -269,6 +274,30 @@ def test_evolve_refuses_overflowing_phase(capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("bosonreg: error: evolution phase overflows")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("state", "coherent", "1e200"),
+        ("decompose", "displacement", "--z", "1e200"),
+        ("evolve", "--z", "1e200", "--t1", "1"),
+    ],
+)
+def test_overflowing_coherent_mean_exits_2(argv):
+    """|z|^2 past float max is a domain error with one line, not a traceback."""
+    src = str(Path(bosonreg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bosonreg", *argv, "--allow-truncation-risk"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("bosonreg: error: |z|^2 overflows")
 
 
 def test_config_validation(capsys):
