@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -23,12 +24,7 @@ from .checks import MUTATIONS, VerifyConfig, algebra_groups, run_criteria
 from .coherent import CoherentSpec, coherent_series, displacement_generator_gateform, trajectory
 from .errors import BosonRegError
 from .gates import circuit_to_json_obj
-from .register import (
-    EventuallyPeriodicSequence,
-    LogicFunction,
-    computational_map,
-    continuum_map,
-)
+from .register import EventuallyPeriodicSequence, computational_map, continuum_map
 
 __all__ = ["main", "parse_complex"]
 
@@ -208,6 +204,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     _check_config(args)
     _pick_format(args, "json", ("json",))
     params = _params(args)
+    obj = {"command": "decompose", "kind": args.kind, "rank": args.rank}
     if args.kind == "displacement":
         if args.z is None:
             raise _UsageError("decompose displacement requires --z")
@@ -216,27 +213,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             z, params, args.rank, allow_truncation_risk=args.allow_truncation_risk
         )
         pair = displacement_generator_gateform(spec)
-        obj = {
-            "command": "decompose",
-            "kind": "displacement",
-            "rank": args.rank,
-            "z": {"re": z.real, "im": z.imag},
-            "r": spec.r,
-            "theta": spec.theta,
-            "full": circuit_to_json_obj(pair.full),
-            "reduced": circuit_to_json_obj(pair.reduced),
-        }
+        obj.update(z={"re": z.real, "im": z.imag}, r=spec.r, theta=spec.theta)
     else:
         if args.z is not None:
             raise _UsageError("--z applies only to decompose displacement")
         pair = gate_decomposition(args.kind, params, args.rank)
-        obj = {
-            "command": "decompose",
-            "kind": args.kind,
-            "rank": args.rank,
-            "full": circuit_to_json_obj(pair.full),
-            "reduced": circuit_to_json_obj(pair.reduced),
-        }
+    obj.update(full=circuit_to_json_obj(pair.full), reduced=circuit_to_json_obj(pair.reduced))
     _emit(jsonio.dumps(obj), args.out)
     return 0
 
@@ -377,6 +359,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="inject a deliberate fault to exercise the suite")
     p.set_defaults(func=_cmd_verify)
 
+    # argparse would read -0.156+0.485i as an unknown option: take a minus
+    # followed by a digit as the start of a value, as it does for -0.5.
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -134,6 +134,10 @@ def coherent_series(spec: CoherentSpec) -> CoherentState:
     """Truncated series construction; amplitudes are the exact coefficients."""
     mean = abs(spec.z) ** 2
     amp = complex(math.exp(-0.5 * mean))
+    if amp == 0:  # past |z|^2 of about 1490
+        raise TruncationRiskError(
+            f"exp(-|z|^2/2) underflows to 0 at |z|^2 = {mean:.3g}, so every amplitude would be 0"
+        )
     kept = 0.0
     amplitudes: dict[int, complex] = {}
     for n in range(spec.rank):

@@ -263,9 +263,8 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
-        for term in self.terms:
-            for p in term.factors:
-                _check_placement(self.rank, p)
+        for p in {id(p): p for term in self.terms for p in term.factors}.values():
+            _check_placement(self.rank, p)
 
 
 @dataclass(frozen=True)
@@ -298,22 +297,40 @@ def _placement_branches(p: GatePlacement) -> tuple[Branch, ...]:
     raise ValueError(f"unknown placement kind {p.kind!r}")
 
 
+def _compile(p: GatePlacement) -> tuple[tuple[Branch, ...], tuple[int, int] | None]:
+    """A placement's branches, plus its (mask, value) if it is a guard: a
+    factor that only tests bits (P0, P1: one branch, no flip, weight 1)."""
+    own = _placement_branches(p)
+    is_guard = len(own) == 1 and own[0][0] and own[0][2:] == (0, 1)
+    return own, own[0][:2] if is_guard else None
+
+
 def circuit_branches(circuit: Circuit) -> tuple[Branch, ...]:
     """Each term composed rightmost factor first and weighted, in term order.
 
     A placement object that recurs in the circuit (decompositions and
-    parsed circuits share theirs) is compiled once per call.
+    parsed circuits share theirs) is compiled once per call.  Each run of
+    adjacent guards (P0 and P1 factors) is merged into one condition and
+    composed once; a run that asks one bit to be both 0 and 1 drops its term.
     """
-    compiled: dict[int, tuple[Branch, ...]] = {}
+    compiled: dict[int, tuple] = {}
     out: list[Branch] = []
     for term in circuit.terms:
-        branches = IDENTITY
+        branches, mask, value = IDENTITY, 0, 0  # mask, value: the pending guard run
         for p in reversed(term.factors):
-            own = compiled.get(id(p))
-            if own is None:
-                own = compiled[id(p)] = _placement_branches(p)
+            own, guard = compiled.get(id(p)) or compiled.setdefault(id(p), _compile(p))
+            if guard:
+                if (value ^ guard[1]) & mask & guard[0]:
+                    break
+                mask, value = mask | guard[0], value | guard[1]
+                continue
+            if mask:
+                branches, mask, value = compose(((mask, value, 0, 1 + 0j),), branches), 0, 0
             branches = compose(own, branches)
-        out.extend((mask, value, flip, term.coeff * c) for mask, value, flip, c in branches)
+        else:
+            if mask:
+                branches = compose(((mask, value, 0, 1 + 0j),), branches)
+            out.extend((m, v, flip, term.coeff * c) for m, v, flip, c in branches)
     return tuple(out)
 
 
@@ -359,12 +376,16 @@ def _placement_to_obj(p: GatePlacement) -> dict:
 
 
 def circuit_to_json_obj(circuit: Circuit) -> dict:
+    """The circuit as JSON values.  Every term that holds one placement
+    object holds one shared factor dict, so ``jsonio.dumps`` writes it once."""
+    distinct = {id(p): p for term in circuit.terms for p in term.factors}
+    objs = {key: _placement_to_obj(p) for key, p in distinct.items()}
     return {
         "rank": circuit.rank,
         "terms": [
             {
                 "coeff": {"re": term.coeff.real, "im": term.coeff.imag},
-                "factors": [_placement_to_obj(p) for p in term.factors],
+                "factors": [objs[id(p)] for p in term.factors],
             }
             for term in circuit.terms
         ],

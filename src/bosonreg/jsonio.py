@@ -46,17 +46,33 @@ def dumps(obj: Any) -> str:
     Values of the exact built-in types dispatch on ``type(obj)``; bool, None
     and subclasses (``np.float64``, say) are first mapped to their kind.
     Each nesting level is joined on its own, so no list of the whole
-    document's pieces is ever held.
+    document's pieces is ever held.  The text of each dict, list or tuple
+    object is kept until the call returns and reused wherever the object
+    recurs, so a shared object is written once per call.
     """
+    return _dumps(obj, {}, [])
+
+
+def _dumps(obj: Any, written: dict[int, str], held: list) -> str:
+    # written: id() -> text of each container so far; held keeps those
+    # containers alive, so no other object can take one of their ids
     kind = type(obj)
     if kind not in _EXACT:
         kind = _kind(obj)
+    if kind is dict or kind is list or kind is tuple:
+        text = written.get(id(obj))
+        if text is None:
+            if kind is dict:
+                items = [_quote(str(k)) + ":" + _dumps(v, written, held) for k, v in obj.items()]
+                text = "{" + ",".join(items) + "}"
+            else:  # a recurring item is looked up here, without a call
+                items = [written.get(id(v)) or _dumps(v, written, held) for v in obj]
+                text = "[" + ",".join(items) + "]"
+            written[id(obj)] = text
+            held.append(obj)
+        return text
     if kind is str:
         return _quote(obj)
-    if kind is dict:
-        return "{" + ",".join([_quote(str(k)) + ":" + dumps(v) for k, v in obj.items()]) + "}"
-    if kind is list or kind is tuple:
-        return "[" + ",".join([dumps(v) for v in obj]) + "]"
     if kind is int:
         return str(obj)
     if kind is float:

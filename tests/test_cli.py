@@ -286,6 +286,11 @@ def test_evolve_refuses_overflowing_phase(capsys):
 )
 def test_overflowing_coherent_mean_exits_2(argv):
     """|z|^2 past float max is a domain error with one line, not a traceback."""
+    assert _one_line_refusal(*argv).startswith("bosonreg: error: |z|^2 overflows")
+
+
+def _one_line_refusal(*argv) -> str:
+    """Run the CLI as a subprocess; it must exit 2 with one stderr line."""
     src = str(Path(bosonreg.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -297,7 +302,43 @@ def test_overflowing_coherent_mean_exits_2(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
-    assert proc.stderr.startswith("bosonreg: error: |z|^2 overflows")
+    return proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("state", "coherent", "1e100", "--rank", "4"),
+        ("evolve", "--z", "1e100", "--t1", "1", "--rank", "4"),
+    ],
+)
+def test_underflowing_vacuum_weight_exits_2(argv):
+    """exp(-|z|^2/2) == 0 would give the zero vector; the refusal names why."""
+    assert _one_line_refusal(*argv).startswith("bosonreg: error: exp(-|z|^2/2) underflows")
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (
+            ("decompose", "displacement", "--z", "-0.156+0.485i", "--rank", "8"),
+            ("decompose", "displacement", "--z=-0.156+0.485i", "--rank", "8"),
+        ),
+        (
+            ("state", "coherent", "-0.936-2.6i", "--rank", "32"),
+            ("state", "coherent", "--rank", "32", "--", "-0.936-2.6i"),
+        ),
+        (
+            ("evolve", "--z", "-0.5-0.2i", "--t1", "1", "--steps", "3", "--rank", "8"),
+            ("evolve", "--z=-0.5-0.2i", "--t1", "1", "--steps", "3", "--rank", "8"),
+        ),
+    ],
+    ids=["decompose", "state", "evolve"],
+)
+def test_negative_complex_value_needs_no_equals_sign(capsys, spaced, joined):
+    code, out, err = run(capsys, *spaced)
+    assert (code, err) == (0, "")
+    assert run(capsys, *joined) == (0, out, "")
 
 
 def test_config_validation(capsys):

@@ -79,6 +79,17 @@ def test_truncation_guard():
     assert built.tail_mass > 0.01
 
 
+def test_underflowing_vacuum_weight_is_refused():
+    """Past |z|^2 of about 1490 the series would be the zero vector."""
+    def spec(z):
+        return CoherentSpec(z, PARAMS, 4, allow_truncation_risk=True)
+
+    assert len(coherent_series(spec(38.0)).state) == 4
+    for z in (39.0, 1e100j):
+        with pytest.raises(TruncationRiskError, match="underflows"):
+            coherent_series(spec(z))
+
+
 def test_tail_mass_matches_poisson_tail():
     built = coherent_series(CoherentSpec(1.0 + 0j, PARAMS, 4))
     kept = sum(math.exp(-1) / math.factorial(n) for n in range(4))

@@ -269,6 +269,140 @@ def test_circuit_validates_sites():
         Circuit(2, (CircuitTerm(1, (cnot(0, 2),)),))
 
 
+def test_shared_invalid_placement_is_refused():
+    """Each distinct placement is checked once, however often it recurs."""
+    guard = local(0, SiteOp.P0)
+    for bad, message in ((local(5, SiteOp.P1), "site 5"), (cnot(1, 4), r"sites \(1, 4\)")):
+        terms = tuple(CircuitTerm(k, (guard, bad, guard, bad)) for k in range(40))
+        with pytest.raises(ValueError, match=message):
+            Circuit(3, terms)
+
+
+def _fresh_json_obj(circuit: Circuit) -> dict:
+    """The emitter's form with a new factor dict for every factor."""
+    def factor(p):
+        if p.kind == "local":
+            return {"type": "local", "site": p.site, "op": p.op.name.replace("PLUS", "+")}
+        if p.kind == "cnot":
+            return {"type": "cnot", "a": p.a, "b": p.b}
+        return {"type": "T", "a": p.a, "b": p.b, "theta": p.theta}
+
+    return {
+        "rank": circuit.rank,
+        "terms": [
+            {
+                "coeff": {"re": t.coeff.real, "im": t.coeff.imag},
+                "factors": [factor(p) for p in t.factors],
+            }
+            for t in circuit.terms
+        ],
+    }
+
+
+@pytest.mark.parametrize("rank", [2, 17, 64])
+@pytest.mark.parametrize("kind", ["position", "momentum", "displacement"])
+def test_shared_factor_dicts_match_fresh_form(kind, rank):
+    params = PhysParams(1.3, 0.8, 1.1)
+    if kind == "displacement":
+        spec = CoherentSpec(-0.156 + 0.485j, params, rank, allow_truncation_risk=True)
+        pair = displacement_generator_gateform(spec)
+    else:
+        pair = gate_decomposition(kind, params, rank)
+    for circuit in (pair.full, pair.reduced):
+        obj = circuit_to_json_obj(circuit)
+        assert obj == _fresh_json_obj(circuit)
+        placements = {id(p) for t in circuit.terms for p in t.factors}
+        dicts = {id(f) for t in obj["terms"] for f in t["factors"]}
+        assert len(dicts) == len(placements)
+        assert circuit_from_json(circuit_to_json(circuit)) == circuit
+
+
+def _factor_branches(p) -> tuple:
+    """Each placement's branches, written out independently of gates."""
+    if p.kind == "local":
+        return site_branches(p.site, p.op)
+    a, b = 1 << p.a, 1 << p.b
+    if p.kind == "cnot":
+        return ((a, 0, 0, 1 + 0j), (a, a, b, 1 + 0j))
+    up = complex(math.cos(p.theta), math.sin(p.theta))
+    return (
+        (a | b, 0, 0, 1 + 0j),
+        (a | b, a | b, 0, 1 + 0j),
+        (a | b, a, a | b, up),
+        (a | b, b, a | b, up.conjugate()),
+    )
+
+
+def _per_factor_branches(circuit: Circuit) -> tuple:
+    """Reference compile: one compose per factor, no folding."""
+    out = []
+    for term in circuit.terms:
+        branches = IDENTITY
+        for p in reversed(term.factors):
+            branches = compose(_factor_branches(p), branches)
+        out += [(m, v, f, term.coeff * c) for m, v, f, c in branches]
+    return tuple(out)
+
+
+_THETAS = (0.0, -0.0, 0.7, -2.3, math.pi / 2)
+_TERM_COEFFS = (1, -1, 0.5j, 1.3 - 0.2j, complex(1, -0.0), complex(-0.0, -0.0), complex(0, -0.0))
+_LOCAL_OPS = (SiteOp.S0, SiteOp.S1, SiteOp.S2, SiteOp.S3, SiteOp.A, SiteOp.APLUS)
+
+
+def _draw_factors(data, rank: int, pool: list) -> list:
+    """A term: runs of P0/P1 (sites may repeat, so runs can contradict),
+    T(theta), CNOTs and the other local operators, some of them shared."""
+    factors = []
+    for kind in data.draw(st.lists(st.sampled_from(("run", "T", "cnot", "local")), max_size=5)):
+        if kind == "run":
+            for _ in range(data.draw(st.integers(1, 5))):
+                op = data.draw(st.sampled_from((SiteOp.P0, SiteOp.P1)))
+                factors.append(local(data.draw(st.integers(0, rank - 1)), op))
+            continue
+        if data.draw(st.booleans()) and pool:
+            factors.append(data.draw(st.sampled_from(pool)))
+            continue
+        sites = st.lists(st.integers(0, rank - 1), min_size=2, max_size=2, unique=True)
+        if kind == "local":
+            p = local(data.draw(sites)[0], data.draw(st.sampled_from(_LOCAL_OPS)))
+        elif kind == "cnot":
+            p = cnot(*data.draw(sites))
+        else:
+            p = transpose_theta(*data.draw(sites), data.draw(st.sampled_from(_THETAS)))
+        pool.append(p)
+        factors.append(p)
+    return factors
+
+
+@given(data=st.data())
+def test_folded_guards_match_per_factor_compose(data):
+    """Merging guard runs changes no branch, no order, no zero sign."""
+    rank = data.draw(st.integers(2, 10))
+    pool: list = []
+    terms = tuple(
+        CircuitTerm(data.draw(st.sampled_from(_TERM_COEFFS)), _draw_factors(data, rank, pool))
+        for _ in range(data.draw(st.integers(1, 4)))
+    )
+    circuit = Circuit(rank, terms)
+    _assert_same_signed_branches(circuit_branches(circuit), _per_factor_branches(circuit))
+
+
+def _assert_same_signed_branches(got, want):
+    assert got == want
+    for (*_, c), (*_, d) in zip(got, want):
+        assert math.copysign(1, c.real) == math.copysign(1, d.real)
+        assert math.copysign(1, c.imag) == math.copysign(1, d.imag)
+
+
+def test_folded_guard_run_still_weighs_once():
+    """A guard between other factors still multiplies by 1 + 0j once: that
+    product turns a -0.0 part to +0.0, which the term weight 1 - 0.0j keeps
+    visible here."""
+    factors = (local(0, SiteOp.S2), local(0, SiteOp.P0), local(0, SiteOp.S3), local(0, SiteOp.S3))
+    circuit = Circuit(2, (CircuitTerm(complex(1, -0.0), factors),))
+    _assert_same_signed_branches(circuit_branches(circuit), _per_factor_branches(circuit))
+
+
 def test_conjugated_cnot_reduces_to_plain():
     assert np.max(np.abs(conjugated_cnot_matrix(0, 0, 0, 0) - cnot_matrix())) < 1e-15
 

@@ -55,11 +55,40 @@ _VALUES = st.recursive(
 )
 
 
-@given(_VALUES)
+@st.composite
+def _shared_documents(draw):
+    """Lists whose items are a few containers, each recurring, some nested in
+    later ones, so one dict, list or tuple object appears several times."""
+    pool: list = []
+    for _ in range(draw(st.integers(1, 4))):
+        part = st.one_of(_VALUES, st.sampled_from(pool)) if pool else _VALUES
+        parts = draw(st.lists(part, max_size=4))
+        shape = draw(st.sampled_from(("list", "tuple", "dict")))
+        if shape == "dict":
+            pool.append({str(i): v for i, v in enumerate(parts)})
+        else:
+            pool.append(parts if shape == "list" else tuple(parts))
+    return draw(st.lists(st.sampled_from(pool), min_size=2, max_size=6))
+
+
+@given(st.one_of(_VALUES, _shared_documents()))
 def test_dumps_matches_reference(obj):
     text = dumps(obj)
     assert text == _reference(obj)
     assert text.isascii()
+
+
+class _FreshItems(list):
+    """Yields a new list per item, each freed once the next is made."""
+
+    def __iter__(self):
+        return ([i] for i in range(6))
+
+
+def test_containers_made_while_writing_keep_their_own_text():
+    doc = [_FreshItems(), {"k": _FreshItems()}]
+    fresh = "[[0],[1],[2],[3],[4],[5]]"
+    assert dumps(doc) == _reference(doc) == f'[{fresh},{{"k":{fresh}}}]'
 
 
 def _error_type(fn, obj):
