@@ -450,7 +450,7 @@ def project(state: RegisterState, params: PhysParams | None = None) -> BosonicSu
 def check_transbosonic(state: RegisterState) -> None:
     """Raise NotBosonicError if any stored key lies off the bosonic basis."""
     for key in state.amplitudes:
-        if not is_power_of_two_key(key):
+        if key <= 0 or key & (key - 1):
             raise NotBosonicError(f"key {key} is outside the bosonic subspace")
 
 

@@ -3,7 +3,7 @@
 Criteria build the operators they examine through a small toolkit, so the
 suite can be rerun with one deliberate fault (hop direction flipped,
 transpose phase negated, energy offset dropped).  The final criterion reruns
-the criteria that use the toolkit under each fault and demands that each
+each criterion under each fault its toolkit consulted and demands that each
 fault breaks something, which guards the suite against being vacuous.
 
 Exact criteria report a tolerance of 0 and must measure a deviation of
@@ -104,19 +104,31 @@ _HOPS = {"lower": bosonic.b_lower, "raise": bosonic.b_raise}
 
 
 class Toolkit:
-    """Builds the operators under test, honoring one injected fault."""
+    """Builds the operators under test, honoring one injected fault.
+
+    Each test of the fault goes through `_faulty`, which records it in `consulted`.
+    """
 
     def __init__(self, params: PhysParams, mutation: str = "none") -> None:
         if mutation not in MUTATIONS:
             raise ValueError(f"unknown mutation {mutation!r}")
         self.params = params
-        self.mutation = mutation
+        self._mutation = mutation
+        self.consulted: set[str] = set()
+
+    def _faulty(self, *names: str) -> bool:
+        self.consulted.update(names)
+        return self._mutation in names
+
+    def fault_free(self) -> bool:
+        """True when no fault is injected; consults every fault."""
+        return not self._faulty(*MUTATIONS[1:])
 
     def theta(self, value: float) -> float:
-        return -value if self.mutation == "theta-sign" else value
+        return -value if self._faulty("theta-sign") else value
 
     def _direction(self, direction: str) -> str:
-        swapped = self.mutation == "b-convention"
+        swapped = self._faulty("b-convention")
         return {"lower": "raise", "raise": "lower"}[direction] if swapped else direction
 
     def b_lower(self, n: int, rank: int) -> RegisterOperator:
@@ -129,7 +141,7 @@ class Toolkit:
         return bosonic.ladder(self._direction(direction), self.params, rank)
 
     def hamiltonian(self, rank: int) -> RegisterOperator:
-        if self.mutation == "h-offset":
+        if self._faulty("h-offset"):
             half = self.ladder("raise", rank) @ self.ladder("lower", rank)
             return half.scale(0.5)
         return bosonic.hamiltonian(self.params, rank)
@@ -164,7 +176,7 @@ class Toolkit:
 
 
 def _max_abs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0
 
 
 def _pair_matrix(op_site0: qubit.SiteOp, op_site1: qubit.SiteOp) -> np.ndarray:
@@ -312,15 +324,15 @@ def _bosonic_filter(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
 
 def _hop_relations(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
     rank = min(8, cfg.rank)
-    filter_mat = bosonic.bosonic_identity(rank).to_matrix()
+    # the filter is diagonal with entries exactly 0 or 1, so b F and F b
+    # scale b's columns and rows by them without rounding
+    keep = np.diagonal(bosonic.bosonic_identity(rank).to_matrix())
     up_down_dev = down_up_dev = commute_dev = 0.0
     for n in range(rank - 1):
         bn_low = kit.b_lower(n, rank)
         bn_high = kit.b_raise(n, rank)
-        commutator = (
-            bn_low.to_matrix() @ filter_mat - filter_mat @ bn_low.to_matrix()
-        )
-        commute_dev = max(commute_dev, _max_abs(commutator))
+        low = bn_low.to_matrix()
+        commute_dev = max(commute_dev, _max_abs(low * keep - keep[:, None] * low))
         for m in range(rank - 1):
             bm_low = kit.b_lower(m, rank)
             bm_high = kit.b_raise(m, rank)
@@ -420,6 +432,7 @@ def _coherent_states(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
     rank = cfg.rank
     gate_rank = min(10, cfg.rank)
     lower = kit.ladder("lower", rank)
+    dense = kit.fault_free()
     scale = math.sqrt(2.0 * params.epsilon)
     parts: list[_Part] = []
     eig_dev = poisson_dev = series_dev = block_dev = structure_dev = dense_dev = 0.0
@@ -444,9 +457,6 @@ def _coherent_states(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
         generator = gates.circuit_to_matrix(kit.full_displacement_gateform(spec_small))
         powers = [1 << n for n in range(gate_rank)]
         block = generator[np.ix_(powers, powers)]
-        off_block = generator.copy()
-        off_block[np.ix_(powers, powers)] = 0.0
-        structure_dev = max(structure_dev, _max_abs(off_block))
         reference = coherent.expm_antihermitian(
             coherent.displacement_generator_block(spec_small)
         )
@@ -454,16 +464,18 @@ def _coherent_states(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
             block_dev,
             _max_abs(coherent.expm_antihermitian(block) - reference),
         )
-        if kit.mutation == "none" and z is _Z_SET[-1]:
+        if dense and z is _Z_SET[-1]:
             # one genuinely dense exponential as an end-to-end data point
             dense_u = coherent.expm_antihermitian(generator)
             dense_dev = _max_abs(dense_u[np.ix_(powers, powers)] - reference)
+        generator[np.ix_(powers, powers)] = 0.0
+        structure_dev = max(structure_dev, _max_abs(generator))
     parts.append(_Part("lowering-eigenvalue", eig_dev, 1e-8))
     parts.append(_Part("poisson-distribution", poisson_dev, 1e-12))
     parts.append(_Part("series-vs-displacement", series_dev, 1e-8))
     parts.append(_Part("generator-support", structure_dev, 0.0))
     parts.append(_Part("gateform-exponential", block_dev, 1e-8))
-    if kit.mutation == "none":
+    if dense:
         parts.append(_Part("dense-exponential", dense_dev, 1e-8))
     return parts
 
@@ -527,9 +539,7 @@ def _transbosonic_annihilation(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
             if not image.is_zero:
                 leak = max(leak, image.norm())
     ground_image = ops["lowering"].apply(RegisterState.basis(rank, 1))
-    structural = 0.0
-    if not ground_image.is_zero:
-        structural = 1.0
+    structural = 0.0 if ground_image.is_zero else 1.0
     if len(RegisterState.void(rank)) != 1 or RegisterState.void(rank).amplitude(0) != 1:
         structural = 1.0
     if RegisterState.zero(rank) == RegisterState.void(rank):
@@ -540,21 +550,18 @@ def _transbosonic_annihilation(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
     ]
 
 
-# The flag says whether a criterion builds anything through the Toolkit.  One
-# that does not gives the same parts under every fault, so faulted runs reuse
-# its unmutated result.
-_CRITERIA: tuple[tuple[str, Callable[[VerifyConfig, Toolkit], list[_Part]], bool], ...] = (
-    ("product-table-closure", _product_table_closure, False),
-    ("gate-identities", _gate_identities, True),
-    ("phase-covariance", _phase_covariance, False),
-    ("bosonic-filter", _bosonic_filter, False),
-    ("hop-relations", _hop_relations, True),
-    ("oracle-intertwining", _oracle_intertwining, True),
-    ("canonical-commutators", _canonical_commutators, True),
-    ("energy-spectrum", _energy_spectrum, True),
-    ("coherent-states", _coherent_states, True),
-    ("coherent-dynamics", _coherent_dynamics, True),
-    ("transbosonic-annihilation", _transbosonic_annihilation, True),
+_CRITERIA: tuple[tuple[str, Callable[[VerifyConfig, Toolkit], list[_Part]]], ...] = (
+    ("product-table-closure", _product_table_closure),
+    ("gate-identities", _gate_identities),
+    ("phase-covariance", _phase_covariance),
+    ("bosonic-filter", _bosonic_filter),
+    ("hop-relations", _hop_relations),
+    ("oracle-intertwining", _oracle_intertwining),
+    ("canonical-commutators", _canonical_commutators),
+    ("energy-spectrum", _energy_spectrum),
+    ("coherent-states", _coherent_states),
+    ("coherent-dynamics", _coherent_dynamics),
+    ("transbosonic-annihilation", _transbosonic_annihilation),
 )
 
 CRITERION_NAMES = tuple(row[0] for row in _CRITERIA) + ("mutation-sensitivity",)
@@ -579,30 +586,31 @@ def algebra_groups() -> list[tuple[str, float]]:
     return [(name, max(dev[label] for label in labels)) for name, labels in _ALGEBRA_GROUPS]
 
 
-def _run_base(
-    cfg: VerifyConfig, mutation: str, unmutated: Sequence[CriterionResult] = ()
-) -> list[CriterionResult]:
-    """The criteria under one fault; given `unmutated`, Toolkit-free ones are reused."""
-    kit = Toolkit(cfg.params, mutation)
-    results = []
-    for i, (name, fn, uses_kit) in enumerate(_CRITERIA):
-        if unmutated and not uses_kit:
-            results.append(unmutated[i])
+# a criterion's result and the faults its Toolkit consulted
+_Run = tuple[CriterionResult, set[str]]
+
+
+def _run_base(cfg: VerifyConfig, mutation: str, unmutated: Sequence[_Run] = ()) -> list[_Run]:
+    """The criteria under one fault, each through a fresh Toolkit.  Criteria are
+    deterministic, so the fault-free run of one that never consulted `mutation` is reused."""
+    runs = []
+    for i, (name, fn) in enumerate(_CRITERIA):
+        if unmutated and mutation not in unmutated[i][1]:
+            runs.append(unmutated[i])
             continue
+        kit = Toolkit(cfg.params, mutation)
         started = time.perf_counter()
         parts = fn(cfg, kit)
-        results.append(_combine(name, parts, time.perf_counter() - started))
-    return results
+        runs.append((_combine(name, parts, time.perf_counter() - started), kit.consulted))
+    return runs
 
 
-def _mutation_sensitivity(
-    cfg: VerifyConfig, unmutated: Sequence[CriterionResult]
-) -> CriterionResult:
+def _mutation_sensitivity(cfg: VerifyConfig, unmutated: Sequence[_Run]) -> CriterionResult:
     started = time.perf_counter()
     blind_spots = []
     notes = []
     for mutation in MUTATIONS[1:]:
-        failed = [r.name for r in _run_base(cfg, mutation, unmutated) if not r.passed]
+        failed = [r.name for r, _ in _run_base(cfg, mutation, unmutated) if not r.passed]
         notes.append(f"{mutation} -> {', '.join(failed) if failed else 'nothing'}")
         if not failed:
             blind_spots.append(mutation)
@@ -618,7 +626,8 @@ def _mutation_sensitivity(
 
 def run_criteria(cfg: VerifyConfig, mutation: str = "none") -> list[CriterionResult]:
     """Run the named criteria; unmutated runs append the sensitivity check."""
-    results = _run_base(cfg, mutation)
+    runs = _run_base(cfg, mutation)
+    results = [result for result, _ in runs]
     if mutation == "none":
-        results.append(_mutation_sensitivity(cfg, results))
+        results.append(_mutation_sensitivity(cfg, runs))
     return results

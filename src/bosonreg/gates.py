@@ -410,8 +410,8 @@ def _placement_from_obj(obj: Mapping) -> GatePlacement:
 def circuit_from_json_obj(obj: Mapping) -> Circuit:
     """Parse a circuit object; equal factor objects yield one shared placement.
 
-    A local or cnot factor is parsed once per call for each distinct set of
-    the fields it is read from.  T factors are parsed every time: 0.0 == -0.0
+    A local or cnot factor is parsed once per call for each distinct value
+    of the fields its kind reads.  T factors are parsed every time: 0.0 == -0.0
     as a key, so sharing would lose the sign of a zero theta.
     """
     parsed: dict[tuple, GatePlacement] = {}
@@ -419,10 +419,11 @@ def circuit_from_json_obj(obj: Mapping) -> Circuit:
     for t in obj["terms"]:
         factors = []
         for p in t["factors"]:
-            if p["type"] == "T":
+            kind = p["type"]
+            if kind not in ("local", "cnot"):  # T, or an unknown type that raises
                 factors.append(_placement_from_obj(p))
                 continue
-            key = (p["type"], p.get("site"), p.get("op"), p.get("a"), p.get("b"))
+            key = (kind, p["site"], p["op"]) if kind == "local" else (kind, p["a"], p["b"])
             placement = parsed.get(key)
             if placement is None:
                 placement = parsed[key] = _placement_from_obj(p)

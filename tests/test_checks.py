@@ -1,29 +1,74 @@
-"""The mutation harness reruns only what a fault can reach."""
+"""The mutation harness reruns a criterion only under the faults it consulted."""
 
+import functools
+
+import numpy as np
 import pytest
 
-from bosonreg import checks
+from bosonreg import bosonic, checks
 from bosonreg.checks import MUTATIONS, Toolkit, VerifyConfig, run_criteria
-
-FAULT_FREE = [(name, fn) for name, fn, uses_kit in checks._CRITERIA if not uses_kit]
+from bosonreg.qubit import SiteOp
 
 CONFIGS = [VerifyConfig(), VerifyConfig(rank=8, alpha=1.3, beta=0.8, hbar=1.1)]
+CONFIG_IDS = ["defaults", "rank8"]
+
+# the criteria each fault reaches through the Toolkit, at every config
+REACHED = {
+    "b-convention": [
+        "hop-relations",
+        "oracle-intertwining",
+        "canonical-commutators",
+        "coherent-states",
+        "coherent-dynamics",
+        "transbosonic-annihilation",
+    ],
+    "theta-sign": ["gate-identities", "oracle-intertwining", "coherent-states"],
+    "h-offset": [
+        "oracle-intertwining",
+        "energy-spectrum",
+        "coherent-states",
+        "coherent-dynamics",
+        "transbosonic-annihilation",
+    ],
+}
+
+
+@functools.cache
+def _consulted(cfg):
+    return {result.name: consulted for result, consulted in checks._run_base(cfg, "none")}
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+def test_recorded_sets_are_pinned(cfg):
+    consulted = _consulted(cfg)
+    reached = {
+        mutation: [name for name, faults in consulted.items() if mutation in faults]
+        for mutation in MUTATIONS[1:]
+    }
+    assert reached == REACHED
+    assert all(faults <= set(MUTATIONS[1:]) for faults in consulted.values())
 
 
 def test_fault_free_criteria_are_named():
-    assert [name for name, _ in FAULT_FREE] == [
-        "product-table-closure",
-        "phase-covariance",
-        "bosonic-filter",
-    ]
+    for cfg in CONFIGS:
+        assert [name for name, faults in _consulted(cfg).items() if not faults] == [
+            "product-table-closure",
+            "phase-covariance",
+            "bosonic-filter",
+        ]
 
 
-@pytest.mark.parametrize("cfg", CONFIGS, ids=["defaults", "rank8"])
-@pytest.mark.parametrize("name,fn", FAULT_FREE, ids=[name for name, _ in FAULT_FREE])
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+@pytest.mark.parametrize("name,fn", checks._CRITERIA, ids=[name for name, _ in checks._CRITERIA])
 def test_fault_free_parts_do_not_depend_on_the_toolkit(cfg, name, fn):
-    unmutated = fn(cfg, Toolkit(cfg.params))
-    for mutation in MUTATIONS[1:]:
-        assert fn(cfg, Toolkit(cfg.params, mutation)) == unmutated, mutation
+    """Under every fault outside a criterion's recorded set, its parts are the fault-free ones."""
+    consulted = _consulted(cfg)[name]
+    outside = [mutation for mutation in MUTATIONS[1:] if mutation not in consulted]
+    unmutated = fn(cfg, Toolkit(cfg.params)) if outside else None
+    for mutation in outside:
+        faulted = Toolkit(cfg.params, mutation)
+        assert fn(cfg, faulted) == unmutated, mutation
+        assert faulted.consulted == consulted, mutation
 
 
 def _outcome(r):
@@ -31,21 +76,21 @@ def _outcome(r):
 
 
 def test_sensitivity_detail_matches_full_reruns():
-    cfg = VerifyConfig()
-    *unmutated, sensitivity = run_criteria(cfg)
-    notes = []
-    for mutation in MUTATIONS[1:]:
-        full = run_criteria(cfg, mutation)
-        reused = checks._run_base(cfg, mutation, unmutated)
-        assert [_outcome(r) for r in reused] == [_outcome(r) for r in full], mutation
-        failed = [r.name for r in full if not r.passed]
-        notes.append(f"{mutation} -> {', '.join(failed) if failed else 'nothing'}")
-    assert sensitivity.name == "mutation-sensitivity"
-    assert sensitivity.detail == "; ".join(notes)
+    for cfg in CONFIGS:
+        runs = checks._run_base(cfg, "none")
+        sensitivity = checks._mutation_sensitivity(cfg, runs)
+        notes = []
+        for mutation in MUTATIONS[1:]:
+            full = run_criteria(cfg, mutation)
+            reused = [result for result, _ in checks._run_base(cfg, mutation, runs)]
+            assert [_outcome(r) for r in reused] == [_outcome(r) for r in full], mutation
+            failed = [r.name for r in full if not r.passed]
+            notes.append(f"{mutation} -> {', '.join(failed) if failed else 'nothing'}")
+        assert sensitivity.detail == "; ".join(notes)
 
 
 def test_fault_free_criteria_run_once_per_default_run(monkeypatch):
-    calls = {name: 0 for name, _, _ in checks._CRITERIA}
+    calls = {name: 0 for name, _ in checks._CRITERIA}
 
     def counted(name, fn):
         def wrapper(cfg, kit):
@@ -55,12 +100,46 @@ def test_fault_free_criteria_run_once_per_default_run(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        checks,
-        "_CRITERIA",
-        tuple((name, counted(name, fn), uses_kit) for name, fn, uses_kit in checks._CRITERIA),
+        checks, "_CRITERIA", tuple((name, counted(name, fn)) for name, fn in checks._CRITERIA)
     )
     results = run_criteria(VerifyConfig())
     assert len(results) == 12
-    expected = {name: 4 if uses_kit else 1 for name, _, uses_kit in checks._CRITERIA}
+    expected = {
+        name: 1 + sum(name in reached for reached in REACHED.values()) for name in calls
+    }
     assert calls == expected
-    assert sum(calls.values()) == 35
+    assert sum(calls.values()) == 25
+
+
+@pytest.mark.parametrize("mutation", ["none", "b-convention"])
+def test_hop_filter_broadcast_equals_dense_products(mutation):
+    """b F and F b by scaling b's columns and rows equal the dense matmuls exactly."""
+    rank = 8
+    kit = Toolkit(VerifyConfig().params, mutation)
+    filter_mat = bosonic.bosonic_identity(rank).to_matrix()
+    keep = np.diagonal(filter_mat)
+    assert set(keep.tolist()) == {0, 1}
+    for n in range(rank - 1):
+        for op in (kit.b_lower(n, rank), kit.b_raise(n, rank)):
+            b = op.to_matrix()
+            assert np.array_equal(b * keep, b @ filter_mat)
+            assert np.array_equal(keep[:, None] * b, filter_mat @ b)
+
+
+class _LeakyKit(Toolkit):
+    """A lowering hop that also creates occupation from the void: not in the filter's commutant."""
+
+    def b_lower(self, n, rank):
+        return bosonic.site_product(rank, {n: SiteOp.APLUS})
+
+
+def test_filter_commutant_measures_what_dense_products_give():
+    cfg = VerifyConfig(rank=8)
+    kit = _LeakyKit(cfg.params)
+    filter_mat = bosonic.bosonic_identity(cfg.rank).to_matrix()
+    expected = max(
+        np.abs(b @ filter_mat - filter_mat @ b).max()
+        for b in (kit.b_lower(n, cfg.rank).to_matrix() for n in range(cfg.rank - 1))
+    )
+    parts = {part.label: part.dev for part in checks._hop_relations(cfg, kit)}
+    assert parts["filter-commutant"] == expected == 1.0

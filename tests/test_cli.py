@@ -1,6 +1,8 @@
 """End-to-end command-line behavior, run in process."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bosonreg
 from bosonreg.cli import main, parse_complex
@@ -390,6 +394,75 @@ def test_verify_mutation_fixture_fails_loudly(capsys):
     assert any("hop-relations" in l for l in fail_lines)
     # the sensitivity criterion is itself skipped under mutation
     assert "mutation-sensitivity" not in out
+
+
+def _quiet_main(*argv):
+    """Run main in process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def sensitivity_map():
+    """Fault -> criteria it broke, from the default run's mutation-sensitivity detail."""
+    code, out, _ = _quiet_main("verify", "--format", "json")
+    assert code == 0
+    detail = json.loads(out)["criteria"][-1]["detail"]
+    return {
+        fault: names.split(", ")
+        for fault, names in (entry.split(" -> ") for entry in detail.split("; "))
+    }
+
+
+@pytest.mark.parametrize("mutation", ["b-convention", "theta-sign", "h-offset"])
+def test_verify_mutation_fails_what_sensitivity_lists(capsys, sensitivity_map, mutation):
+    code, out, _ = run(capsys, "verify", "--mutate", mutation, "--format", "json")
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["criteria"] if not c["passed"]]
+    assert failed == sensitivity_map[mutation]
+
+
+_SCALE = st.floats(-12.0, 12.0).map(lambda e: repr(10.0**e))
+_COMPLEX = st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)).map(
+    lambda z: f"{z[0]!r}{z[1]:+.17g}i"
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    rank = draw(st.integers(2, 64))
+    command = draw(st.sampled_from(["number", "coherent", "position", "momentum",
+                                    "displacement", "evolve"]))
+    if command == "number":
+        argv = ["state", "number", str(draw(st.integers(0, rank - 1)))]
+    elif command == "coherent":
+        argv = ["state", "coherent", draw(_COMPLEX)]
+    elif command == "evolve":
+        argv = ["evolve", "--z", draw(_COMPLEX), "--t1", repr(draw(st.floats(1e-3, 1e3))),
+                "--steps", str(draw(st.integers(2, 4)))]
+    else:
+        argv = ["decompose", command]
+        if command == "displacement":
+            argv += ["--z", draw(_COMPLEX)]
+    if command in ("coherent", "displacement", "evolve") and draw(st.booleans()):
+        argv.append("--allow-truncation-risk")
+    return argv + ["--rank", str(rank), "--alpha", draw(_SCALE), "--beta", draw(_SCALE),
+                   "--hbar", draw(_SCALE)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cli_argv())
+def test_cli_domain_answers_or_refuses_in_one_line(argv):
+    """Across rank 2..64 and scales 1e-12..1e12: exit 0, or exit 2 with one stderr line."""
+    code, _, err = _quiet_main(*argv)
+    assert "Traceback" not in err
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith("bosonreg: error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 def test_verify_minimum_rank_runs(capsys):

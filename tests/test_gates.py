@@ -27,6 +27,7 @@ from bosonreg.gates import (
     apply_transpose_theta,
     circuit_branches,
     circuit_from_json,
+    circuit_from_json_obj,
     circuit_to_json,
     circuit_to_json_obj,
     circuit_to_matrix,
@@ -230,6 +231,31 @@ def test_parsed_zero_theta_keeps_its_sign():
     first, second = circuit_from_json(text).terms[0].factors
     assert math.copysign(1.0, first.theta) == 1.0
     assert math.copysign(1.0, second.theta) == -1.0
+
+
+def test_parse_keys_each_factor_on_the_fields_its_kind_reads():
+    """Equal local and cnot fields share one placement; stray fields do not split
+    them, and an unknown factor type is still refused."""
+    obj = {
+        "rank": 3,
+        "terms": [
+            {
+                "coeff": {"re": 1.0, "im": 0.0},
+                "factors": [
+                    {"type": "local", "site": 1, "op": "A", "a": 0},
+                    {"type": "local", "site": 1, "op": "A"},
+                    {"type": "cnot", "a": 0, "b": 2, "site": 1},
+                    {"type": "cnot", "a": 0, "b": 2},
+                ],
+            }
+        ],
+    }
+    first, second, third, fourth = circuit_from_json_obj(obj).terms[0].factors
+    assert first is second and third is fourth
+    assert (first, third) == (local(1, SiteOp.A), cnot(0, 2))
+    obj["terms"][0]["factors"].append({"type": "swap", "a": 0, "b": 1})
+    with pytest.raises(ValueError, match="unknown factor type 'swap'"):
+        circuit_from_json_obj(obj)
 
 
 def test_circuit_branches_with_repeated_placements():
