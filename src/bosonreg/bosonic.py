@@ -49,6 +49,7 @@ from .errors import (
 )
 from .gates import (
     IDENTITY,
+    ApplyPlan,
     Branch,
     BranchIndex,
     Circuit,
@@ -61,6 +62,7 @@ from .gates import (
     compose,
     index_branches,
     local,
+    plan_index,
     site_branches,
     transpose_theta,
 )
@@ -146,10 +148,17 @@ class RegisterOperator:
         self.branches = tuple(branches)
         self._index: BranchIndex | None = None
 
-    def apply(self, state: RegisterState) -> RegisterState:
+    def _indexed(self) -> BranchIndex:
         if self._index is None:
             self._index = index_branches(self.branches)
-        return apply_index(self.rank, self._index, state)
+        return self._index
+
+    def apply(self, state: RegisterState) -> RegisterState:
+        return apply_index(self.rank, self._indexed(), state)
+
+    def plan(self, keys: Sequence[int]) -> ApplyPlan:
+        """Compile ``apply`` for states that store exactly ``keys``, in that order."""
+        return plan_index(self._indexed(), keys)
 
     def _require_same_rank(self, other: "RegisterOperator") -> None:
         if self.rank != other.rank:

@@ -28,6 +28,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, mul
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,7 +51,7 @@ from .bosonic import (
     register_block,
 )
 from .errors import NotBosonicError, PhaseOverflowError, TruncationRiskError, ZeroVectorError
-from .gates import Circuit, CircuitPair
+from .gates import Circuit, CircuitPair, apply_plan
 from .jsonio import fmt_float
 from .register import RegisterState
 
@@ -62,6 +66,7 @@ __all__ = [
     "displacement_generator_gateform",
     "expectation",
     "evolve",
+    "tabulate",
     "Trajectory",
     "trajectory",
 ]
@@ -225,9 +230,8 @@ def displacement_generator_gateform(spec: CoherentSpec) -> CircuitPair:
     return CircuitPair(Circuit(spec.rank, full), Circuit(spec.rank, reduced))
 
 
-def _norm_sq(state: RegisterState) -> float:
-    """(state | state), which an expectation value divides by; never zero."""
-    norm_sq = state.inner_product(state).real
+def _nonzero(norm_sq: float) -> float:
+    """(state | state), which an expectation value divides by, refused when zero."""
     if norm_sq == 0.0:
         raise ZeroVectorError("expectation value of the zero vector is undefined")
     return norm_sq
@@ -235,8 +239,19 @@ def _norm_sq(state: RegisterState) -> float:
 
 def expectation(op: RegisterOperator, state: RegisterState) -> complex:
     """(state | op state) / (state | state)."""
-    norm_sq = _norm_sq(state)
+    norm_sq = _nonzero(state.inner_product(state).real)
     return state.inner_product(op.apply(state)) / norm_sq
+
+
+def _phase_rate(rank: int, t: float, params: PhysParams) -> float:
+    """eps t / hbar, refused when the top level's phase (R - 1/2) times it overflows."""
+    rate = params.epsilon * t / params.hbar
+    if not math.isfinite((rank - 0.5) * rate):
+        raise PhaseOverflowError(
+            f"evolution phase overflows: epsilon * t / hbar = {rate:.3g}"
+            f" at t = {t:.6g}, rank {rank}"
+        )
+    return rate
 
 
 def evolve(state: RegisterState, t: float, params: PhysParams) -> RegisterState:
@@ -247,18 +262,69 @@ def evolve(state: RegisterState, t: float, params: PhysParams) -> RegisterState:
     float is refused, since its amplitude would turn into NaN.
     """
     check_transbosonic(state)
-    rate = params.epsilon * t / params.hbar
-    # the top level's phase is (R - 1/2) * rate
-    if not math.isfinite((state.rank - 0.5) * rate):
-        raise PhaseOverflowError(
-            f"evolution phase overflows: epsilon * t / hbar = {rate:.3g}"
-            f" at t = {t:.6g}, rank {state.rank}"
-        )
+    rate = _phase_rate(state.rank, t, params)
     out = {
         key: amp * cmath.exp(-1j * (key.bit_length() - 0.5) * rate)
         for key, amp in state.items()
     }
     return RegisterState._trusted(state.rank, out)
+
+
+#: RegisterState._trusted's test for a stored amplitude, abs(value) > 0.0
+_STORED = (0.0).__lt__
+
+
+def _split(pairs: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    return [first for first, _ in pairs], [second for _, second in pairs]
+
+
+def tabulate(
+    state: RegisterState,
+    ops: Sequence[RegisterOperator],
+    times: Iterable[float],
+    params: PhysParams,
+) -> list[list[float]]:
+    """expectation(op, evolve(state, t, params)).real for each op and time.
+
+    One column per op, one value per time, bit for bit the values of that
+    loop.  Each op is compiled once over the state's key order, which every
+    snapshot keeps: a nonzero amplitude times a unit phase never rounds to
+    0, because cos or sin exceeds 1/2 in magnitude.  Each time then runs a
+    few passes of the same complex operations in the same order: the level
+    phases from factors -1j (n + 1/2) computed once, one conjugate list for
+    the norm and every sandwich, the layered image sums of the plan, and
+    inner_product's choice of side (the image when it stores fewer keys)
+    and its skip of keys the other side does not store.
+    """
+    check_transbosonic(state)
+    keys = list(state.amplitudes)
+    start = list(state.amplitudes.values())
+    turns = [-1j * (key.bit_length() - 0.5) for key in keys]
+    where = {key: position for position, key in enumerate(keys)}
+    compiled = []
+    for op in ops:
+        plan = op.plan(keys)
+        # (state position, image position) of each key both sides may store
+        shared = [(where[key], j) for j, key in enumerate(plan.keys) if key in where]
+        compiled.append((plan, _split(shared), _split(sorted(shared))))
+    columns: list[list[float]] = [[] for _ in compiled]
+    for t in times:
+        rate = _phase_rate(state.rank, float(t), params)
+        amps = list(map(mul, start, map(cmath.exp, map(mul, turns, repeat(rate)))))
+        conj = list(map(complex.conjugate, amps))
+        norm_sq = _nonzero(reduce(add, map(mul, conj, amps), 0j).real)
+        amps.append(0j)  # the zero amplitude the plans' padding reads
+        for column, (plan, by_image, by_state) in zip(columns, compiled):
+            image = apply_plan(plan, amps)
+            stored = list(map(_STORED, map(abs, image)))
+            count = len(image) - stored.count(False)
+            positions, slots = by_image if count < len(keys) else by_state
+            if count < len(image):
+                picked = list(map(stored.__getitem__, slots))
+                positions, slots = list(compress(positions, picked)), list(compress(slots, picked))
+            terms = map(mul, map(conj.__getitem__, positions), map(image.__getitem__, slots))
+            column.append((reduce(add, terms, 0j) / norm_sq).real)
+    return columns
 
 
 @dataclass(frozen=True)
@@ -282,7 +348,6 @@ class Trajectory:
 def trajectory(spec: CoherentSpec, times: np.ndarray) -> Trajectory:
     """Evolve the coherent state and tabulate <x>, <p>, <h> at each time."""
     times = np.asarray(times, dtype=float)
-    start = coherent_series(spec).state
     # one (raise, lower) pair serves both x and p
     ladders = (
         ladder("raise", spec.params, spec.rank),
@@ -293,15 +358,5 @@ def trajectory(spec: CoherentSpec, times: np.ndarray) -> Trajectory:
         momentum(spec.params, spec.rank, ladders),
         hamiltonian(spec.params, spec.rank),
     )
-    columns: list[list[float]] = [[], [], []]
-    for t in times:
-        snapshot = evolve(start, float(t), spec.params)
-        norm_sq = _norm_sq(snapshot)
-        for column, op in zip(columns, ops):
-            column.append((snapshot.inner_product(op.apply(snapshot)) / norm_sq).real)
-    return Trajectory(
-        times,
-        np.array(columns[0]),
-        np.array(columns[1]),
-        np.array(columns[2]),
-    )
+    x, p, h = tabulate(coherent_series(spec).state, ops, times, spec.params)
+    return Trajectory(times, np.array(x), np.array(p), np.array(h))

@@ -9,10 +9,13 @@ record describes such a rewrite, the branch
 which sends a key k with k & cond_mask == cond_value to k ^ xor_mask times
 coeff and annihilates every other key.  A linear map is a sequence of
 branches whose images add.  Site operators, gates, hops, projectors and whole
-circuits all compile to branches, and compose, apply_index and
-branch_matrix are the only code that rewrites keys.  Sparse application
-first groups the branches by cond_mask (index_branches); each stored key
-then finds the branches it meets by one lookup of key & cond_mask per mask.
+circuits all compile to branches, and compose, apply_index (with
+plan_index) and branch_matrix are the only code that rewrites keys.  Sparse
+application first groups the branches by cond_mask (index_branches); each
+stored key then finds the branches it meets by one lookup of key & cond_mask
+per mask.  Applying one operator to many states that store the same keys in
+the same order can be compiled once (plan_index, which shares apply_index's
+lookup) and then run as a few passes over amplitude lists (apply_plan).
 
 CNOT with control a and target b flips bit b exactly on branches where bit a
 is 1; its transpose is the same gate with the roles swapped.  The bit
@@ -36,7 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from operator import add, mul
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,6 +56,9 @@ __all__ = [
     "BranchIndex",
     "index_branches",
     "apply_index",
+    "ApplyPlan",
+    "plan_index",
+    "apply_plan",
     "apply_branches",
     "branch_matrix",
     "site_branches",
@@ -124,26 +131,79 @@ def index_branches(branches: Iterable[Branch]) -> BranchIndex:
     )
 
 
-def apply_index(rank: int, index: BranchIndex, state: RegisterState) -> RegisterState:
-    """Sparse action: each stored key looks up ``key & cond_mask`` once per mask.
+def _lookup(index: BranchIndex, keys: Iterable[int]) -> list[tuple | None]:
+    """The hits each key meets, in branch order; None or () when it meets none.
 
-    A key that hits branches under several masks adds its images in branch
-    order, so every sum is taken in the order of a plain scan over the
-    branches.
+    A key that hits branches under several masks gets them merged by branch
+    position, so its images add in the order of a plain scan over the branches.
     """
-    if state.rank != rank:
-        raise RankMismatchError(f"state rank {state.rank} vs operator rank {rank}")
-    acc: dict[int, complex] = {}
-    for key, amp in state.items():
+    if len(index) == 1:
+        ((mask, table),) = index
+        return list(map(table.get, map(mask.__and__, keys)))
+    found_by_key = []
+    for key in keys:
         hits: tuple = ()
         for mask, table in index:
             found = table.get(key & mask)
             if found:
                 hits = tuple(sorted(hits + found)) if hits else found
-        for _, flip, coeff in hits:
-            out_key = key ^ flip
-            acc[out_key] = acc.get(out_key, 0j) + amp * coeff
+        found_by_key.append(hits)
+    return found_by_key
+
+
+def apply_index(rank: int, index: BranchIndex, state: RegisterState) -> RegisterState:
+    """Sparse action: each stored key looks up ``key & cond_mask`` once per mask."""
+    if state.rank != rank:
+        raise RankMismatchError(f"state rank {state.rank} vs operator rank {rank}")
+    acc: dict[int, complex] = {}
+    for (key, amp), hits in zip(state.items(), _lookup(index, state.amplitudes)):
+        if hits:
+            for _, flip, coeff in hits:
+                out_key = key ^ flip
+                acc[out_key] = acc.get(out_key, 0j) + amp * coeff
     return RegisterState._trusted(rank, acc)
+
+
+@dataclass(frozen=True)
+class ApplyPlan:
+    """apply_index compiled for states that store a fixed key list, in order.
+
+    ``keys`` are the image keys in the order apply_index first writes them.
+    Layer k holds every image key's k-th (source position, coeff)
+    contribution; a key with fewer contributions is padded with (number of
+    sources, 0j), a position that holds a zero amplitude.  An accumulator
+    built as 0j + x never holds -0.0, so adding the padding's 0j * 0j leaves
+    it exactly as it was.
+    """
+
+    keys: tuple[int, ...]
+    layers: tuple[tuple[tuple[int, ...], tuple[complex, ...]], ...]
+
+
+def plan_index(index: BranchIndex, sources: Sequence[int]) -> ApplyPlan:
+    """Record what apply_index does to states that store ``sources``, in order."""
+    contributions: dict[int, list[tuple[int, complex]]] = {}
+    for position, (key, hits) in enumerate(zip(sources, _lookup(index, sources))):
+        for _, flip, coeff in hits or ():
+            contributions.setdefault(key ^ flip, []).append((position, coeff))
+    depth = max(map(len, contributions.values()), default=0)
+    pad = (len(sources), 0j)
+    padded = [column + [pad] * (depth - len(column)) for column in contributions.values()]
+    layers = tuple(tuple(zip(*layer)) for layer in zip(*padded))
+    return ApplyPlan(tuple(contributions), layers)
+
+
+def apply_plan(plan: ApplyPlan, amplitudes: Sequence[complex]) -> list[complex]:
+    """Image accumulators in ``plan.keys`` order, exact zeros not yet dropped.
+
+    ``amplitudes`` holds the source amplitudes in the planned order followed
+    by one 0j for the padding.  Each layer is one pass of the same
+    operations apply_index does per key: acc + amp * coeff, starting at 0j.
+    """
+    acc = [0j] * len(plan.keys)
+    for positions, coeffs in plan.layers:
+        acc = list(map(add, acc, map(mul, map(amplitudes.__getitem__, positions), coeffs)))
+    return acc
 
 
 def apply_branches(

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -318,7 +320,9 @@ class RegisterState:
         return total
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self._amp.values())))
+        # left to right, as builtin sum does before Python 3.12 compensates it
+        squares = (abs(v) ** 2 for v in self._amp.values())
+        return float(np.sqrt(reduce(add, squares, 0.0)))
 
     def add(self, other: "RegisterState") -> "RegisterState":
         self._require_same_rank(other)

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bosonreg.bosonic import PhysParams, ladder, project
@@ -21,16 +21,23 @@ from bosonreg.coherent import (
     expectation,
     expm_antihermitian,
     number_distribution,
+    tabulate,
     trajectory,
 )
 from bosonreg.bosonic import (
+    bosonic_projector,
     circuit_as_operator,
     hamiltonian,
     momentum,
     position,
     register_block,
 )
-from bosonreg.errors import NotBosonicError, PhaseOverflowError, TruncationRiskError
+from bosonreg.errors import (
+    NotBosonicError,
+    PhaseOverflowError,
+    TruncationRiskError,
+    ZeroVectorError,
+)
 from bosonreg.fock import build_fock
 from bosonreg.register import RegisterState
 
@@ -203,15 +210,121 @@ def test_evolution_refuses_an_overflowing_phase():
     assert abs(evolve(top, sys.float_info.max / 64, PARAMS).norm() - 1) < 1e-15
 
 
-def test_trajectory_matches_expectation():
-    spec = CoherentSpec(0.7 - 0.4j, PARAMS, 12)
-    times = np.linspace(0.0, 3.0, 5)
+def _assert_same_values(got, want):
+    """Equal floats, and equal signs where they are zero."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _expectation_loop(state, ops, times, params):
+    """One column per op of expectation(op, evolve(state, t)).real."""
+    snapshots = [evolve(state, float(t), params) for t in times]
+    return [[expectation(op, snapshot).real for snapshot in snapshots] for op in ops]
+
+
+_SCALES = st.floats(-3, 3).map(lambda e: 10.0 ** e)
+_TIMES = st.lists(
+    st.one_of(st.sampled_from((0.0, -0.0, 1e6, -1e6)), st.floats(-50, 50)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def _trajectory_runs(draw):
+    rank = draw(st.integers(2, 64))
+    # |z|^2 stays inside the rank/4 guard
+    z = draw(st.complex_numbers(max_magnitude=0.99 * math.sqrt(rank / 4.0)))
+    params = PhysParams(draw(_SCALES), draw(_SCALES), draw(_SCALES))
+    return CoherentSpec(z, params, rank), draw(_TIMES)
+
+
+@settings(max_examples=60, deadline=None)
+@example((CoherentSpec(0.7 - 0.4j, PARAMS, 12), list(np.linspace(0.0, 3.0, 5))))
+@given(run=_trajectory_runs())
+def test_trajectory_matches_expectation(run):
+    """Every value is bit for bit that of evolve + expectation."""
+    spec, times = run
+    params, rank = spec.params, spec.rank
     traj = trajectory(spec, times)
-    ops = (position(PARAMS, 12), momentum(PARAMS, 12), hamiltonian(PARAMS, 12))
-    for i, t in enumerate(times):
-        snapshot = evolve(coherent_series(spec).state, float(t), PARAMS)
-        got = (traj.x[i], traj.p[i], traj.h[i])
-        assert got == tuple(expectation(op, snapshot).real for op in ops)
+    ops = (position(params, rank), momentum(params, rank), hamiltonian(params, rank))
+    want = _expectation_loop(coherent_series(spec).state, ops, times, params)
+    for got, column in zip((traj.x, traj.p, traj.h), want):
+        _assert_same_values(list(got), column)
+
+
+def test_trajectory_refuses_an_overflowing_phase_as_evolve_does():
+    spec = CoherentSpec(0.5 + 0j, PARAMS, 64)
+    t = sys.float_info.max / 10
+    message = "evolution phase overflows: epsilon * t / hbar = 1.8e+307 at t = 1.79769e+307, rank 64"
+    with pytest.raises(PhaseOverflowError) as caught:
+        trajectory(spec, np.array([0.0, t]))
+    assert str(caught.value) == message
+    with pytest.raises(PhaseOverflowError) as caught:
+        evolve(coherent_series(spec).state, t, PARAMS)
+    assert str(caught.value) == message
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ZeroVectorError as error:
+        return type(error), str(error)
+
+
+_TINY = st.sampled_from((5e-324, -5e-324j, complex(5e-324, -5e-324), 1e-310 + 0j))
+_NONZERO = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)).filter(lambda v: v != 0)
+
+
+def _low_levels_position(params, rank, top):
+    """x after the filter onto levels below ``top``: its image, 1, 2, 0, 3, ...,
+    is smaller than a state on every level and not in the state's order."""
+    low = sum((bosonic_projector(n, rank) for n in range(1, top)), bosonic_projector(0, rank))
+    return position(params, rank) @ low
+
+
+def test_tabulate_walks_the_smaller_side_in_its_order():
+    """x after the filter onto levels 0..3 stores 5 image keys, in the order
+    1, 2, 0, 3, 4, against the state's 8: inner_product walks the image."""
+    rng = np.random.default_rng(5)
+    coeffs = rng.uniform(-2, 2, 8) + 1j * rng.uniform(-2, 2, 8)
+    state = RegisterState(8, {1 << n: complex(c) for n, c in enumerate(coeffs)})
+    ops = [_low_levels_position(PARAMS, 8, 4)]
+    times = list(rng.uniform(-5, 5, 6))
+    assert tabulate(state, ops, times, PARAMS) == _expectation_loop(state, ops, times, PARAMS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_tabulate_matches_expectation_for_any_operator(data):
+    """Images larger or smaller than the state, keys in any order, subnormal
+    amplitudes: each value is that of evolve + expectation."""
+    rank = data.draw(st.integers(2, 12))
+    levels = data.draw(st.permutations(range(rank)))[: data.draw(st.integers(1, rank))]
+    amps = data.draw(st.lists(st.one_of(_NONZERO, _TINY), min_size=len(levels), max_size=len(levels)))
+    state = RegisterState(rank, {1 << n: a for n, a in zip(levels, amps)})
+    params = PhysParams(data.draw(_SCALES), data.draw(_SCALES), data.draw(_SCALES))
+    builders = {
+        "lower": lambda: ladder("lower", params, rank),
+        "raise": lambda: ladder("raise", params, rank),
+        "x": lambda: position(params, rank),
+        "p": lambda: momentum(params, rank),
+        "h": lambda: hamiltonian(params, rank),
+        "projector": lambda: bosonic_projector(data.draw(st.integers(0, rank - 1)), rank),
+        "low x": lambda: _low_levels_position(params, rank, data.draw(st.integers(1, rank))),
+    }
+    names = data.draw(st.lists(st.sampled_from(sorted(builders)), min_size=1, max_size=4))
+    ops = [builders[name]() for name in names]
+    times = data.draw(_TIMES)
+    got = _outcome(lambda: tabulate(state, ops, times, params))
+    want = _outcome(lambda: _expectation_loop(state, ops, times, params))
+    if isinstance(want, tuple):  # a norm that underflows to 0 is refused by both
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for column, expected in zip(got, want):
+        _assert_same_values(column, expected)
 
 
 def test_trajectory_against_dense_oracle():

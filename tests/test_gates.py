@@ -24,6 +24,8 @@ from bosonreg.gates import (
     apply_branches,
     apply_circuit,
     apply_cnot,
+    apply_index,
+    apply_plan,
     apply_transpose_theta,
     circuit_branches,
     circuit_from_json,
@@ -36,7 +38,9 @@ from bosonreg.gates import (
     cnot_transpose,
     compose,
     conjugated_cnot_matrix,
+    index_branches,
     local,
+    plan_index,
     site_branches,
     transpose,
     transpose_theta,
@@ -503,3 +507,32 @@ def test_indexed_apply_matches_branch_scan(data):
     image = apply_branches(rank, branches, state)
     assert image.amplitudes == expected
     assert list(image.amplitudes) == list(expected)
+
+
+_SIGNED_WEIGHTS = _WEIGHTS + (complex(1, -0.0), complex(-0.0, 1), complex(-0.0, -0.0))
+
+
+@given(data=st.data())
+def test_plan_reproduces_indexed_apply(data):
+    """A plan over the state's key order gives apply_index's image: the same
+    dict, key order and zero signs, on mixed-mask lists whose keys gather
+    different numbers of contributions."""
+    rank = data.draw(st.integers(3, 10))
+    branches = []
+    for kind in data.draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6)):
+        weight = data.draw(st.sampled_from(_SIGNED_WEIGHTS))
+        branches += [(m, v, f, weight * c) for m, v, f, c in _draw_piece(data, kind, rank)]
+    keys = st.one_of(
+        st.integers(0, rank - 1).map(lambda n: 1 << n), st.integers(0, (1 << rank) - 1)
+    )
+    state = RegisterState(rank, data.draw(st.dictionaries(keys, _AMPS, min_size=1, max_size=8)))
+    index = index_branches(branches)
+    plan = plan_index(index, list(state.amplitudes))
+    image = apply_plan(plan, [*state.amplitudes.values(), 0j])
+    got = {key: value for key, value in zip(plan.keys, image) if abs(value) > 0.0}
+    want = apply_index(rank, index, state).amplitudes
+    assert got == want
+    assert list(got) == list(want)
+    for key, value in got.items():
+        assert math.copysign(1, value.real) == math.copysign(1, want[key].real)
+        assert math.copysign(1, value.imag) == math.copysign(1, want[key].imag)

@@ -1,7 +1,9 @@
 """Logic layer, maps, classification, and sparse register states."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -199,3 +201,16 @@ def test_rank2_coefficient_order():
     c00, c01, c10, c11 = rank2_coefficients(s)
     # second index is site 1, so c01 sits at key 2
     assert (c00, c01, c10, c11) == (1, 3, 2, 4)
+
+
+def test_norm_sums_left_to_right():
+    """Builtin sum compensates float sums from Python 3.12 on; norm() adds
+    the squares left to right on every version."""
+    amplitudes = {1: 1.0 + 0j, **{1 << n: 1e-8 + 0j for n in range(1, 11)}}
+    squares = [abs(v) ** 2 for v in amplitudes.values()]
+    total = 0.0
+    for square in squares:
+        total += square
+    # the list tells a compensated sum from a left-to-right one
+    assert math.sqrt(math.fsum(squares)) != math.sqrt(total)
+    assert RegisterState(11, amplitudes).norm() == float(np.sqrt(total))
