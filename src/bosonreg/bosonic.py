@@ -5,10 +5,12 @@ of the n-th oscillator level; the span of these R keys is the bosonic
 subspace.  Everything outside it, the all-empty configuration included, is
 transbosonic and is annihilated by every operator built here.
 
-Operators are lists of monomial branches (see gates).  The building blocks
-are products of named single-site operators over all sites, with either the
-site unit S0 or the empty projector P0 filling the unnamed sites.  On top of
-those:
+Operators are lists of monomial branches (see gates).  site_product builds
+any product of named single-site operators over all sites, with either the
+site unit S0 or the empty projector P0 filling the unnamed sites.  Each hop
+and level projector is such a product with a P0 fill, and each comes out as
+one branch, the matrix unit between two power-of-two keys; the functions
+below write that branch directly (the tests check it against the product):
 
   * bosonic_projector(n)   keeps exactly the key 2**n
   * bosonic_identity       the sum of all R projectors, the subspace filter
@@ -244,11 +246,19 @@ def circuit_as_operator(circuit: Circuit) -> RegisterOperator:
     return RegisterOperator(circuit.rank, circuit_branches(circuit))
 
 
+def _level_units(rank: int, terms: Iterable[tuple[complex, int, int]]) -> RegisterOperator:
+    """Sum of w |2**t)(2**s| over (w, s, t): each unit is the one branch that
+    site_product gives, weighted as in ``RegisterOperator.weighted_sum``."""
+    full = (1 << rank) - 1
+    units = ((full, 1 << s, (1 << s) ^ (1 << t), complex(w) * (1 + 0j)) for w, s, t in terms)
+    return RegisterOperator(rank, units)
+
+
 def bosonic_projector(n: int, rank: int) -> RegisterOperator:
     """Projector onto the single key 2**n (site n occupied, all others empty)."""
     if not 0 <= n < rank:
         raise ValueError(f"level {n} out of range for rank {rank}")
-    return site_product(rank, {n: SiteOp.P1}, fill=SiteOp.P0)
+    return _level_units(rank, ((1, n, n),))
 
 
 def bosonic_identity(rank: int) -> RegisterOperator:
@@ -257,9 +267,7 @@ def bosonic_identity(rank: int) -> RegisterOperator:
     Keeps every power-of-two key unchanged and annihilates all other keys,
     hence idempotent.
     """
-    return RegisterOperator.weighted_sum(
-        rank, [(1 + 0j, bosonic_projector(n, rank)) for n in range(rank)]
-    )
+    return _level_units(rank, ((1, n, n) for n in range(rank)))
 
 
 def is_power_of_two_key(key: int) -> bool:
@@ -292,18 +300,18 @@ def b_lower(n: int, rank: int) -> RegisterOperator:
     """Hop the single occupied site from n+1 down to n.
 
     Equals |2**n)(2**(n+1)| as a map: every basis key other than 2**(n+1)
-    is annihilated, the unnamed sites being pinned empty by the P0 fill.
+    is annihilated; as site operators it is APLUS at n, A at n+1, P0 elsewhere.
     """
     if not 0 <= n <= rank - 2:
         raise ValueError(f"hop ({n}, {n + 1}) out of range for rank {rank}")
-    return site_product(rank, {n: SiteOp.APLUS, n + 1: SiteOp.A}, fill=SiteOp.P0)
+    return _level_units(rank, ((1, n + 1, n),))
 
 
 def b_raise(n: int, rank: int) -> RegisterOperator:
     """Hop the single occupied site from n up to n+1; adjoint of b_lower(n)."""
     if not 0 <= n <= rank - 2:
         raise ValueError(f"hop ({n}, {n + 1}) out of range for rank {rank}")
-    return site_product(rank, {n: SiteOp.A, n + 1: SiteOp.APLUS}, fill=SiteOp.P0)
+    return _level_units(rank, ((1, n, n + 1),))
 
 
 def _level_weight(n: int, params: PhysParams) -> float:
@@ -319,12 +327,12 @@ def ladder(direction: str, params: PhysParams, rank: int) -> RegisterOperator:
     no hop leaving it.
     """
     if direction == "lower":
-        hops = [(_level_weight(n, params) + 0j, b_lower(n, rank)) for n in range(rank - 1)]
+        hops = [(_level_weight(n, params) + 0j, n + 1, n) for n in range(rank - 1)]
     elif direction == "raise":
-        hops = [(_level_weight(n, params) + 0j, b_raise(n, rank)) for n in range(rank - 1)]
+        hops = [(_level_weight(n, params) + 0j, n, n + 1) for n in range(rank - 1)]
     else:
         raise ValueError("direction must be 'lower' or 'raise'")
-    return RegisterOperator.weighted_sum(rank, hops)
+    return _level_units(rank, hops)
 
 
 def hamiltonian(params: PhysParams, rank: int) -> RegisterOperator:
@@ -334,10 +342,7 @@ def hamiltonian(params: PhysParams, rank: int) -> RegisterOperator:
     at every finite rank, including the top level.
     """
     eps = params.epsilon
-    return RegisterOperator.weighted_sum(
-        rank,
-        [((n + 0.5) * eps + 0j, bosonic_projector(n, rank)) for n in range(rank)],
-    )
+    return _level_units(rank, (((n + 0.5) * eps + 0j, n, n) for n in range(rank)))
 
 
 LadderPair = tuple[RegisterOperator, RegisterOperator]

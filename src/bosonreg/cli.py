@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -233,6 +234,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         raise _UsageError(f"--steps must be at least 2, got {args.steps}")
     if not (math.isfinite(args.t0) and math.isfinite(args.t1)) or args.t1 <= args.t0:
         raise _UsageError("need finite times with --t1 greater than --t0")
+    if not math.isfinite(args.t1 - args.t0):
+        raise _UsageError("the time span --t1 - --t0 overflows; it must be finite")
     z = parse_complex(args.z)
     spec = CoherentSpec(
         z, _params(args), args.rank, allow_truncation_risk=args.allow_truncation_risk
@@ -296,7 +299,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # --- parser ---------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; ``parse_args`` does not change it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rank", type=int, default=32, help="register size, 2..64")
     common.add_argument("--alpha", type=float, default=1.0, help="position scale")

@@ -129,6 +129,50 @@ def test_hop_operator_is_single_matrix_element():
     assert np.array_equal(b_raise(1, rank).to_matrix(), expected.T)
 
 
+def test_hops_and_projectors_are_their_site_products():
+    """Each hop and projector, written as one branch, is the paper's product
+    of site operators with a P0 fill, down to the sign of every zero."""
+    for rank in range(2, 65):
+        for n in range(rank):
+            product = site_product(rank, {n: SiteOp.P1}, fill=SiteOp.P0)
+            assert repr(bosonic_projector(n, rank).branches) == repr(product.branches)
+        for n in range(rank - 1):
+            product = site_product(rank, {n: SiteOp.APLUS, n + 1: SiteOp.A}, fill=SiteOp.P0)
+            assert repr(b_lower(n, rank).branches) == repr(product.branches)
+            product = site_product(rank, {n: SiteOp.A, n + 1: SiteOp.APLUS}, fill=SiteOp.P0)
+            assert repr(b_raise(n, rank).branches) == repr(product.branches)
+
+    def product_ladder(sites, params, rank):
+        return RegisterOperator.weighted_sum(rank, [
+            (math.sqrt((n + 1) * 2.0 * params.epsilon) + 0j,
+             site_product(rank, {n: sites[0], n + 1: sites[1]}, fill=SiteOp.P0))
+            for n in range(rank - 1)
+        ])
+
+    for rank in (2, 5, 32, 64):
+        for params in (
+            PhysParams(),
+            PhysParams(1.3, 0.8, 1.1),
+            PhysParams(1e-12, 3e5, 7.7),
+            PhysParams(1e150, 1e150, 1e-300),
+        ):
+            down = product_ladder((SiteOp.APLUS, SiteOp.A), params, rank)
+            up = product_ladder((SiteOp.A, SiteOp.APLUS), params, rank)
+            energy = RegisterOperator.weighted_sum(rank, [
+                ((n + 0.5) * params.epsilon + 0j,
+                 site_product(rank, {n: SiteOp.P1}, fill=SiteOp.P0))
+                for n in range(rank)
+            ])
+            for built, product in (
+                (ladder("lower", params, rank), down),
+                (ladder("raise", params, rank), up),
+                (position(params, rank), (up + down).scale(1.0 / (2.0 * params.beta))),
+                (momentum(params, rank), (up - down).scale(1j / (2.0 * params.alpha))),
+                (hamiltonian(params, rank), energy),
+            ):
+                assert repr(built.branches) == repr(product.branches)
+
+
 def test_hop_relations_exact():
     rank = 5
     for n in range(rank - 1):

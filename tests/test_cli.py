@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bosonreg
+from bosonreg import cli
 from bosonreg.cli import main, parse_complex
 from bosonreg.gates import circuit_from_json_obj
 
@@ -278,6 +279,51 @@ def test_evolve_refuses_overflowing_phase(capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("bosonreg: error: evolution phase overflows")
+
+
+def test_evolve_refuses_an_overflowing_time_span():
+    """t1 - t0 past float max is refused before linspace sees it; a span just
+    inside the range goes on to the phase-overflow refusal."""
+    wide = ("evolve", "--z", "1", "--rank", "4", "--steps", "3")
+    err = _one_line_refusal(*wide, "--t0=-1e308", "--t1", "1e308")
+    assert err.startswith("bosonreg: error: the time span --t1 - --t0 overflows")
+    err = _one_line_refusal(*wide, "--t0=-8e307", "--t1", "8e307")
+    assert err.startswith("bosonreg: error: evolution phase overflows")
+
+
+def test_parser_is_built_once_and_reuse_leaks_no_state(capsys, monkeypatch):
+    """Runs through the shared parser give the bytes and exit codes of runs
+    that each build their own."""
+    calls = [
+        ("evolve", "--z", "0.5", "--t1", "2", "--steps", "5"),
+        ("evolve", "--z", "0.5", "--t1", "2"),
+        ("evolve", "--z", "0.5", "--steps", "5"),
+        ("decompose", "momentum", "--rank", "4"),
+        ("verify", "--rank", "2", "--mutate", "h-offset", "--format", "json"),
+        ("evolve", "--z", "0.5", "--t1", "2", "--steps", "5"),
+    ]
+
+    def outcomes():
+        results = []
+        for argv in calls:
+            code, out, err = run(capsys, *argv)
+            if argv[0] == "verify":
+                obj = json.loads(out)
+                for entry in obj["criteria"]:
+                    del entry["seconds"]
+                del obj["seconds"]
+                out = obj
+            results.append((code, out, err))
+        return results
+
+    assert cli._build_parser() is cli._build_parser()
+    shared = outcomes()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cli._build_parser() is not cli._build_parser()
+    assert outcomes() == shared
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 1, 0]
+    assert len(shared[1][1].splitlines()) == 257
+    assert shared[2][2].startswith("usage: bosonreg evolve")
 
 
 @pytest.mark.parametrize(
