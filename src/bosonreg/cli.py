@@ -24,7 +24,7 @@ from .bosonic import PhysParams, gate_decomposition, number_state
 from .checks import MUTATIONS, VerifyConfig, algebra_groups, run_criteria
 from .coherent import CoherentSpec, coherent_series, displacement_generator_gateform, trajectory
 from .errors import BosonRegError
-from .gates import circuit_to_json_obj
+from .gates import Circuit, CircuitPair, circuit_to_json_obj
 from .register import EventuallyPeriodicSequence, computational_map, continuum_map
 
 __all__ = ["main", "parse_complex"]
@@ -219,9 +219,19 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         if args.z is not None:
             raise _UsageError("--z applies only to decompose displacement")
         pair = gate_decomposition(args.kind, params, args.rank)
-    obj.update(full=circuit_to_json_obj(pair.full), reduced=circuit_to_json_obj(pair.reduced))
+    obj["full"], obj["reduced"] = _pair_to_json_objs(pair)
     _emit(jsonio.dumps(obj), args.out)
     return 0
+
+
+def _pair_to_json_objs(pair: CircuitPair) -> tuple[dict, dict]:
+    """Both circuits as JSON values from one conversion, so a placement the
+    reduced circuit shares with the full one has one factor dict, and
+    ``jsonio.dumps`` writes its text once."""
+    full, reduced = pair.full, pair.reduced
+    terms = circuit_to_json_obj(Circuit(full.rank, full.terms + reduced.terms))["terms"]
+    cut = len(full.terms)
+    return {"rank": full.rank, "terms": terms[:cut]}, {"rank": reduced.rank, "terms": terms[cut:]}
 
 
 # --- evolve ---------------------------------------------------------------

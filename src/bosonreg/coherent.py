@@ -184,11 +184,26 @@ def expm_antihermitian(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     g = i h with h Hermitian, so exp(g) = U diag(e^{i w}) U+ exactly; no
     scaling-and-squaring error model to worry about.
     """
+    return _expm_i(_hermitian_of(g, tol))
+
+
+# The two steps of expm_antihermitian call numpy only, so a worker thread
+# can run them without entering any public function of the package.
+
+
+def _hermitian_of(g: np.ndarray, tol: float) -> np.ndarray:
+    """h = g / i, once g is checked to be anti-Hermitian to within tol."""
     g = np.asarray(g, dtype=complex)
     scale = 1.0 + float(np.max(np.abs(g))) if g.size else 1.0
     if float(np.max(np.abs(g + g.conj().T))) > tol * scale:
         raise ValueError("generator is not anti-Hermitian")
-    w, u = np.linalg.eigh(g / 1j)
+    return g / 1j
+
+
+def _expm_i(h: np.ndarray) -> np.ndarray:
+    """exp(i h) = U diag(e^{i w}) U+ for Hermitian h; drops h once eigh returns."""
+    w, u = np.linalg.eigh(h)
+    del h
     return (u * np.exp(1j * w)) @ u.conj().T
 
 
@@ -243,13 +258,22 @@ def expectation(op: RegisterOperator, state: RegisterState) -> complex:
     return state.inner_product(op.apply(state)) / norm_sq
 
 
+# The largest top-level phase |(R - 1/2) eps t / hbar| evolve accepts, in rad.
+# A double of that size is rounded by at most 2**-27 rad (about 7.5e-9), still
+# below the 1e-8 to which x and p are checked; past it the digits run out.
+_MAX_PHASE = 2.0**26
+
+
 def _phase_rate(rank: int, t: float, params: PhysParams) -> float:
-    """eps t / hbar, refused when the top level's phase (R - 1/2) times it overflows."""
+    """eps t / hbar, refused when the top level's phase (R - 1/2) times it
+    exceeds _MAX_PHASE in magnitude or is not a number."""
     rate = params.epsilon * t / params.hbar
-    if not math.isfinite((rank - 0.5) * rate):
+    top = (rank - 0.5) * rate
+    if not abs(top) <= _MAX_PHASE:
+        bound = f"; its top phase {top:.3g} rad exceeds 2**26" if math.isfinite(top) else ""
         raise PhaseOverflowError(
             f"evolution phase overflows: epsilon * t / hbar = {rate:.3g}"
-            f" at t = {t:.6g}, rank {rank}"
+            f" at t = {t:.6g}, rank {rank}{bound}"
         )
     return rate
 
@@ -258,8 +282,9 @@ def evolve(state: RegisterState, t: float, params: PhysParams) -> RegisterState:
     """Free evolution: turn the level-n amplitude by e^{-i (n+1/2) eps t / hbar}.
 
     Defined on the bosonic subspace only; any transbosonic key is an error
-    because no level phase is assigned to it.  A phase that overflows a
-    float is refused, since its amplitude would turn into NaN.
+    because no level phase is assigned to it.  A top-level phase past
+    2**26 rad is refused: it would carry too few correct digits, and one
+    that overflows a float would turn its amplitude into NaN.
     """
     check_transbosonic(state)
     rate = _phase_rate(state.rank, t, params)

@@ -1,12 +1,18 @@
-"""The mutation harness reruns a criterion only under the faults it consulted."""
+"""The mutation harness reruns a criterion only under the faults it consulted,
+and a fault-free run takes its dense exponential on one worker thread."""
 
 import functools
+import importlib
+import inspect
+import pkgutil
+import threading
 
 import numpy as np
 import pytest
 
-from bosonreg import bosonic, checks
-from bosonreg.checks import MUTATIONS, Toolkit, VerifyConfig, run_criteria
+import bosonreg
+from bosonreg import bosonic, checks, coherent, gates
+from bosonreg.checks import CRITERION_NAMES, MUTATIONS, Toolkit, VerifyConfig, run_criteria
 from bosonreg.qubit import SiteOp
 
 CONFIGS = [VerifyConfig(), VerifyConfig(rank=8, alpha=1.3, beta=0.8, hbar=1.1)]
@@ -26,7 +32,6 @@ REACHED = {
     "h-offset": [
         "oracle-intertwining",
         "energy-spectrum",
-        "coherent-states",
         "coherent-dynamics",
         "transbosonic-annihilation",
     ],
@@ -108,7 +113,7 @@ def test_fault_free_criteria_run_once_per_default_run(monkeypatch):
         name: 1 + sum(name in reached for reached in REACHED.values()) for name in calls
     }
     assert calls == expected
-    assert sum(calls.values()) == 25
+    assert sum(calls.values()) == 24
 
 
 @pytest.mark.parametrize("mutation", ["none", "b-convention"])
@@ -143,3 +148,100 @@ def test_filter_commutant_measures_what_dense_products_give():
     )
     parts = {part.label: part.dev for part in checks._hop_relations(cfg, kit)}
     assert parts["filter-commutant"] == expected == 1.0
+
+
+# --- the dense exponential on its worker thread ---------------------------------
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+def test_dense_exponential_is_the_expm_block(cfg):
+    """The worker's part is the deviation of expm_antihermitian's block, bit for bit,
+    and run_criteria appends it to coherent-states as its last part."""
+    spec = coherent.CoherentSpec(checks._Z_SET[-1], cfg.params, min(10, cfg.rank))
+    generator = gates.circuit_to_matrix(coherent.displacement_generator_gateform(spec).full)
+    powers = [1 << n for n in range(spec.rank)]
+    reference = coherent.expm_antihermitian(coherent.displacement_generator_block(spec))
+    expected = checks._max_abs(
+        coherent.expm_antihermitian(generator)[np.ix_(powers, powers)] - reference
+    )
+    part = checks._start_dense_exponential(cfg)()
+    assert (part.label, part.dev, part.tol) == ("dense-exponential", expected, 1e-8)
+    [states] = [r for r in run_criteria(cfg) if r.name == "coherent-states"]
+    assert states.detail.endswith(f"; dense-exponential {expected:.3g}/1e-08")
+
+
+def _failing_off_main(fn):
+    """fn, except that it raises when called on any thread but the main one."""
+
+    def wrapper(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("failed off the main thread")
+        return fn(*args)
+
+    return wrapper
+
+
+def _failing(*args):
+    raise RuntimeError("failed on the main thread")
+
+
+@pytest.mark.parametrize(
+    "target, replacement, message",
+    [
+        ((coherent, "_expm_i"), _failing_off_main(coherent._expm_i), "off the main"),
+        ((checks, "_run_base"), _failing, "on the main"),
+    ],
+    ids=["worker", "criteria"],
+)
+def test_a_failure_on_either_thread_propagates_and_joins_the_worker(
+    monkeypatch, target, replacement, message
+):
+    baseline = threading.active_count()
+    monkeypatch.setattr(*target, replacement)
+    with pytest.raises(RuntimeError, match=message):
+        run_criteria(VerifyConfig(rank=4))
+    assert threading.active_count() == baseline
+
+
+def test_faulted_runs_start_no_thread(monkeypatch):
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    run_criteria(VerifyConfig(rank=4), "b-convention")
+    assert started == []
+
+
+def _public_code():
+    """Code of every public function, and of every function of a public class, in the package."""
+    names = [m.name for m in pkgutil.iter_modules(bosonreg.__path__) if not m.name.startswith("_")]
+    codes = set()
+    for module in [bosonreg, *(importlib.import_module(f"bosonreg.{name}") for name in names)]:
+        for attr, value in vars(module).items():
+            if attr.startswith("_") or not getattr(value, "__module__", "").startswith("bosonreg"):
+                continue
+            if inspect.isfunction(value):
+                codes.add(value.__code__)
+            elif inspect.isclass(value):
+                for member in vars(value).values():
+                    member = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                    if inspect.isfunction(member):
+                        codes.add(member.__code__)
+    return codes
+
+
+def test_worker_enters_no_public_function():
+    """The layer tracer wraps public functions and methods with shared state;
+    the worker thread calls none of them."""
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    threading.setprofile(hook)
+    try:
+        results = run_criteria(VerifyConfig(rank=6))
+    finally:
+        threading.setprofile(None)
+    assert "dense-exponential" in results[CRITERION_NAMES.index("coherent-states")].detail
+    assert {coherent._hermitian_of.__code__, coherent._expm_i.__code__} <= entered
+    assert not entered & _public_code()

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import bosonreg
 from bosonreg import cli
 from bosonreg.cli import main, parse_complex
-from bosonreg.gates import circuit_from_json_obj
+from bosonreg.bosonic import PhysParams, gate_decomposition
+from bosonreg.gates import circuit_from_json_obj, circuit_to_json_obj
 
 
 def run(capsys, *argv):
@@ -240,6 +241,24 @@ def test_decompose_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("kind", ["position", "momentum"])
+def test_decompose_halves_share_factor_dicts(kind):
+    """A placement the full and reduced circuits share maps to one factor
+    dict in both halves, and each half holds the values it holds alone."""
+    pair = gate_decomposition(kind, PhysParams(), 8)
+    halves = cli._pair_to_json_objs(pair)
+    dicts = {}
+    for circuit, obj in zip((pair.full, pair.reduced), halves):
+        assert obj == circuit_to_json_obj(circuit)
+        for term, term_obj in zip(circuit.terms, obj["terms"]):
+            for placement, factor in zip(term.factors, term_obj["factors"]):
+                assert dicts.setdefault(id(placement), factor) is factor
+    shared = {id(p) for t in pair.full.terms for p in t.factors} & {
+        id(p) for t in pair.reduced.terms for p in t.factors
+    }
+    assert shared and shared <= dicts.keys()
+
+
 def test_evolve_at_rest(capsys):
     code, out, _ = run(
         capsys, "evolve", "--z", "0", "--t1", "1.0", "--steps", "4", "--rank", "8"
@@ -279,6 +298,20 @@ def test_evolve_refuses_overflowing_phase(capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("bosonreg: error: evolution phase overflows")
+
+
+def test_evolve_phase_bound(capsys):
+    """At rank 32 a top phase of exactly 2**26 rad is evolved; the next float
+    of --t1, and a span near t = 1e17, are refused in one line."""
+    t1 = 2.0**26 / 31.5
+    code, out, err = run(capsys, "evolve", "--z", "0.5", "--t1", repr(t1), "--steps", "2")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 3
+    beyond = ("--t1", repr(math.nextafter(t1, math.inf)))
+    for times in (beyond, ("--t0", "1e17", "--t1", "1.0000000001e17")):
+        code, out, err = run(capsys, "evolve", "--z", "0.5", "--steps", "2", *times)
+        assert (code, out) == (2, "")
+        assert err.startswith("bosonreg: error: evolution phase overflows") and err.count("\n") == 1
 
 
 def test_evolve_refuses_an_overflowing_time_span():

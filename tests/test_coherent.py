@@ -207,7 +207,28 @@ def test_evolution_refuses_an_overflowing_phase():
     # the rate is finite but the top level's phase, 63.5 times it, is not
     with pytest.raises(PhaseOverflowError, match="overflows"):
         evolve(top, sys.float_info.max / 10, PARAMS)
-    assert abs(evolve(top, sys.float_info.max / 64, PARAMS).norm() - 1) < 1e-15
+    # finite, but far past the 2**26 rad bound
+    with pytest.raises(PhaseOverflowError, match="rad exceeds 2\\*\\*26"):
+        evolve(top, sys.float_info.max / 64, PARAMS)
+
+
+@pytest.mark.parametrize("rank", [32, 64])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_evolution_phase_bound(rank, sign):
+    """A top phase (R - 1/2) eps t / hbar of exactly 2**26 rad is evolved;
+    the next float of t is refused, by evolve and by tabulate alike."""
+    t = sign * 2.0**26 / (rank - 0.5)
+    assert abs((rank - 0.5) * t) == 2.0**26
+    state = coherent_series(CoherentSpec(0.5, PARAMS, rank)).state
+    h = hamiltonian(PARAMS, rank)
+    assert abs(evolve(state, t, PARAMS).norm() - state.norm()) < 1e-15
+    [[energy]] = tabulate(state, [h], [t], PARAMS)
+    assert abs(energy - 0.75) < 1e-12
+    beyond = math.nextafter(t, sign * math.inf)
+    with pytest.raises(PhaseOverflowError, match="^evolution phase overflows"):
+        evolve(state, beyond, PARAMS)
+    with pytest.raises(PhaseOverflowError, match="^evolution phase overflows"):
+        tabulate(state, [h], [t, beyond], PARAMS)
 
 
 def _assert_same_values(got, want):
@@ -218,9 +239,13 @@ def _assert_same_values(got, want):
 
 
 def _expectation_loop(state, ops, times, params):
-    """One column per op of expectation(op, evolve(state, t)).real."""
-    snapshots = [evolve(state, float(t), params) for t in times]
-    return [[expectation(op, snapshot).real for snapshot in snapshots] for op in ops]
+    """One column per op of expectation(op, evolve(state, t)).real, taken
+    time by time, so the first time that is refused raises."""
+    rows = []
+    for t in times:
+        snapshot = evolve(state, float(t), params)
+        rows.append([expectation(op, snapshot).real for op in ops])
+    return [list(column) for column in zip(*rows)]
 
 
 _SCALES = st.floats(-3, 3).map(lambda e: 10.0 ** e)
@@ -244,12 +269,16 @@ def _trajectory_runs(draw):
 @example((CoherentSpec(0.7 - 0.4j, PARAMS, 12), list(np.linspace(0.0, 3.0, 5))))
 @given(run=_trajectory_runs())
 def test_trajectory_matches_expectation(run):
-    """Every value is bit for bit that of evolve + expectation."""
+    """Every value is bit for bit that of evolve + expectation, and a phase
+    past the bound is refused by both with one message."""
     spec, times = run
     params, rank = spec.params, spec.rank
-    traj = trajectory(spec, times)
+    traj = _outcome(lambda: trajectory(spec, times))
     ops = (position(params, rank), momentum(params, rank), hamiltonian(params, rank))
-    want = _expectation_loop(coherent_series(spec).state, ops, times, params)
+    want = _outcome(lambda: _expectation_loop(coherent_series(spec).state, ops, times, params))
+    if isinstance(want, tuple):
+        assert traj == want
+        return
     for got, column in zip((traj.x, traj.p, traj.h), want):
         _assert_same_values(list(got), column)
 
@@ -269,7 +298,7 @@ def test_trajectory_refuses_an_overflowing_phase_as_evolve_does():
 def _outcome(run):
     try:
         return run()
-    except ZeroVectorError as error:
+    except (ZeroVectorError, PhaseOverflowError) as error:
         return type(error), str(error)
 
 
@@ -319,7 +348,7 @@ def test_tabulate_matches_expectation_for_any_operator(data):
     times = data.draw(_TIMES)
     got = _outcome(lambda: tabulate(state, ops, times, params))
     want = _outcome(lambda: _expectation_loop(state, ops, times, params))
-    if isinstance(want, tuple):  # a norm that underflows to 0 is refused by both
+    if isinstance(want, tuple):  # a zero norm or a phase past the bound, refused by both
         assert got == want
         return
     assert len(got) == len(want)
