@@ -408,7 +408,7 @@ def gate_decomposition(kind: str, params: PhysParams, rank: int) -> CircuitPair:
         raise ValueError("kind must be 'position' or 'momentum'")
     weights = [prefactor * _level_weight(n, params) + 0j for n in range(rank - 1)]
     full, reduced = decomposition_terms(rank, weights, theta)
-    return CircuitPair(Circuit(rank, full), Circuit(rank, reduced))
+    return CircuitPair(Circuit._trusted(rank, full), Circuit._trusted(rank, reduced))
 
 
 def number_state(n: int, params: PhysParams, rank: int) -> RegisterState:

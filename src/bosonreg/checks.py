@@ -180,7 +180,7 @@ class Toolkit:
                 for p in term.factors
             )
             terms.append(gates.CircuitTerm(term.coeff, factors))
-        return gates.Circuit(circuit.rank, tuple(terms))
+        return gates.Circuit._trusted(circuit.rank, tuple(terms))
 
     def full_decomposition(self, kind: str, rank: int) -> gates.Circuit:
         return self._mutate_circuit(bosonic.gate_decomposition(kind, self.params, rank).full)

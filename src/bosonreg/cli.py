@@ -24,7 +24,7 @@ from .bosonic import PhysParams, gate_decomposition, number_state
 from .checks import MUTATIONS, VerifyConfig, algebra_groups, run_criteria
 from .coherent import CoherentSpec, coherent_series, displacement_generator_gateform, trajectory
 from .errors import BosonRegError
-from .gates import Circuit, CircuitPair, circuit_to_json_obj
+from .gates import CircuitPair, circuit_to_json_obj
 from .register import EventuallyPeriodicSequence, computational_map, continuum_map
 
 __all__ = ["main", "parse_complex"]
@@ -225,13 +225,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _pair_to_json_objs(pair: CircuitPair) -> tuple[dict, dict]:
-    """Both circuits as JSON values from one conversion, so a placement the
-    reduced circuit shares with the full one has one factor dict, and
-    ``jsonio.dumps`` writes its text once."""
-    full, reduced = pair.full, pair.reduced
-    terms = circuit_to_json_obj(Circuit(full.rank, full.terms + reduced.terms))["terms"]
-    cut = len(full.terms)
-    return {"rank": full.rank, "terms": terms[:cut]}, {"rank": reduced.rank, "terms": terms[cut:]}
+    """Both circuits as JSON values through one memo, so a placement or factor
+    tuple the reduced circuit shares with the full one has one JSON value in
+    both halves, and ``jsonio.dumps`` writes its text once."""
+    memo: dict = {}
+    return circuit_to_json_obj(pair.full, memo), circuit_to_json_obj(pair.reduced, memo)
 
 
 # --- evolve ---------------------------------------------------------------

@@ -242,7 +242,7 @@ def displacement_generator_gateform(spec: CoherentSpec) -> CircuitPair:
         return CircuitPair(empty, empty)
     weights = [1j * r * math.sqrt(n + 1) for n in range(spec.rank - 1)]
     full, reduced = decomposition_terms(spec.rank, weights, theta)
-    return CircuitPair(Circuit(spec.rank, full), Circuit(spec.rank, reduced))
+    return CircuitPair(Circuit._trusted(spec.rank, full), Circuit._trusted(spec.rank, reduced))
 
 
 def _nonzero(norm_sq: float) -> float:

@@ -47,7 +47,7 @@ import numpy as np
 from . import jsonio
 from .errors import RankMismatchError, RankTooLargeError
 from .qubit import SiteOp, op_action
-from .register import DENSE_MAX_RANK, RegisterState
+from .register import DENSE_MAX_RANK, RegisterState, _check_rank
 
 __all__ = [
     "Branch",
@@ -263,12 +263,13 @@ class GatePlacement:
     theta: float | None = None
 
 
-def _check_placement(rank: int, p: GatePlacement) -> None:
+def _check_placement(rank: int, p: GatePlacement) -> GatePlacement:
     if p.kind == "local":
         if not 0 <= p.site < rank:
             raise ValueError(f"site {p.site} out of range for rank {rank}")
     elif not (0 <= p.a < rank and 0 <= p.b < rank) or p.a == p.b:
         raise ValueError(f"sites ({p.a}, {p.b}) must be distinct and below rank {rank}")
+    return p
 
 
 def local(site: int, op: SiteOp) -> GatePlacement:
@@ -316,15 +317,28 @@ class CircuitTerm:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Weighted sum of placement products on a fixed-rank register."""
+    """Weighted sum of placement products on a fixed-rank register.
+
+    Building one checks the rank and each distinct placement object against
+    it; decompositions and the JSON parser check theirs as they make them.
+    """
 
     rank: int
     terms: tuple[CircuitTerm, ...]
 
     def __post_init__(self) -> None:
+        _check_rank(self.rank)
         object.__setattr__(self, "terms", tuple(self.terms))
         for p in {id(p): p for term in self.terms for p in term.factors}.values():
             _check_placement(self.rank, p)
+
+    @classmethod
+    def _trusted(cls, rank: int, terms: tuple[CircuitTerm, ...]) -> "Circuit":
+        """Internal circuits, whose placements are in range; only the rank is checked."""
+        circuit = cls.__new__(cls)
+        object.__setattr__(circuit, "rank", _check_rank(rank))
+        object.__setattr__(circuit, "terms", terms)
+        return circuit
 
 
 @dataclass(frozen=True)
@@ -435,61 +449,80 @@ def _placement_to_obj(p: GatePlacement) -> dict:
     return {"type": "T", "a": p.a, "b": p.b, "theta": float(p.theta)}
 
 
-def circuit_to_json_obj(circuit: Circuit) -> dict:
-    """The circuit as JSON values.  Every term that holds one placement
-    object holds one shared factor dict, so ``jsonio.dumps`` writes it once."""
-    distinct = {id(p): p for term in circuit.terms for p in term.factors}
-    objs = {key: _placement_to_obj(p) for key, p in distinct.items()}
-    return {
-        "rank": circuit.rank,
-        "terms": [
-            {
-                "coeff": {"re": term.coeff.real, "im": term.coeff.imag},
-                "factors": [objs[id(p)] for p in term.factors],
-            }
-            for term in circuit.terms
-        ],
-    }
+def circuit_to_json_obj(circuit: Circuit, memo: dict[int, object] | None = None) -> dict:
+    """The circuit as JSON values, in one pass over each term's factors.
+
+    A placement object gets one factor dict the first time it is seen, and a
+    factor tuple one list, each shared by every term that holds the object,
+    so ``jsonio.dumps`` writes its text once.  Calls that pass one ``memo``
+    (id() of a placement or factor tuple -> its JSON value) share them across
+    circuits; those circuits must outlive the memo.
+    """
+    memo = {} if memo is None else memo
+    terms = []
+    for term in circuit.terms:
+        factors = memo.get(id(term.factors))
+        if factors is None:
+            factors = memo[id(term.factors)] = [
+                memo.get(id(p)) or memo.setdefault(id(p), _placement_to_obj(p))
+                for p in term.factors
+            ]
+        terms.append({"coeff": {"re": term.coeff.real, "im": term.coeff.imag}, "factors": factors})
+    return {"rank": circuit.rank, "terms": terms}
 
 
 def circuit_to_json(circuit: Circuit) -> str:
     return jsonio.dumps(circuit_to_json_obj(circuit))
 
 
+def _json_int(obj: Mapping, field: str) -> int:
+    """An integer field, refused rather than truncated when it is not a JSON integer."""
+    value = obj[field]
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _placement_from_obj(obj: Mapping) -> GatePlacement:
     kind = obj["type"]
     if kind == "local":
-        return local(int(obj["site"]), _OPS_BY_NAME[obj["op"]])
+        return local(_json_int(obj, "site"), _OPS_BY_NAME[obj["op"]])
     if kind == "cnot":
-        return cnot(int(obj["a"]), int(obj["b"]))
+        return cnot(_json_int(obj, "a"), _json_int(obj, "b"))
     if kind == "T":
-        return transpose_theta(int(obj["a"]), int(obj["b"]), float(obj["theta"]))
+        return transpose_theta(_json_int(obj, "a"), _json_int(obj, "b"), float(obj["theta"]))
     raise ValueError(f"unknown factor type {kind!r}")
 
 
 def circuit_from_json_obj(obj: Mapping) -> Circuit:
     """Parse a circuit object; equal factor objects yield one shared placement.
 
-    A local or cnot factor is parsed once per call for each distinct value
-    of the fields its kind reads.  T factors are parsed every time: 0.0 == -0.0
-    as a key, so sharing would lose the sign of a zero theta.
+    A local or cnot factor is parsed and checked against the rank once per
+    call for each distinct value of the fields its kind reads, and the type of
+    each integer field is part of that value.  T factors are parsed every
+    time: 0.0 == -0.0 as a key, so sharing would lose the sign of a zero
+    theta.  The rank and every site must be JSON integers.
     """
+    rank = _check_rank(_json_int(obj, "rank"))
     parsed: dict[tuple, GatePlacement] = {}
     terms = []
     for t in obj["terms"]:
         factors = []
         for p in t["factors"]:
             kind = p["type"]
-            if kind not in ("local", "cnot"):  # T, or an unknown type that raises
-                factors.append(_placement_from_obj(p))
+            if kind == "local":
+                key = (kind, p["site"], type(p["site"]), p["op"])
+            elif kind == "cnot":
+                key = (kind, p["a"], p["b"], type(p["a"]), type(p["b"]))
+            else:  # T, or an unknown type that raises
+                factors.append(_check_placement(rank, _placement_from_obj(p)))
                 continue
-            key = (kind, p["site"], p["op"]) if kind == "local" else (kind, p["a"], p["b"])
             placement = parsed.get(key)
             if placement is None:
-                placement = parsed[key] = _placement_from_obj(p)
+                placement = parsed[key] = _check_placement(rank, _placement_from_obj(p))
             factors.append(placement)
         terms.append(CircuitTerm(complex(t["coeff"]["re"], t["coeff"]["im"]), tuple(factors)))
-    return Circuit(int(obj["rank"]), tuple(terms))
+    return Circuit._trusted(rank, tuple(terms))
 
 
 def circuit_from_json(text: str) -> Circuit:

@@ -232,8 +232,12 @@ def test_decompose_displacement(capsys):
             ("decompose", "momentum", "--rank", "40", "--alpha", "1.3"),
             "50263b00a85612abef3c115c685dc895cd00404218f8bcc2c3059fcbedef799b",
         ),
+        (
+            ("decompose", "position", "--rank", "64"),
+            "cd4ec4b128312ee819ad1e0b2ee1ea7dc02023c899861f2427245ef469b1a68f",
+        ),
     ],
-    ids=["displacement-64", "momentum-40"],
+    ids=["displacement-64", "momentum-40", "position-64"],
 )
 def test_decompose_output_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
@@ -257,6 +261,18 @@ def test_decompose_halves_share_factor_dicts(kind):
         id(p) for t in pair.reduced.terms for p in t.factors
     }
     assert shared and shared <= dicts.keys()
+
+
+@pytest.mark.parametrize("kind", ["position", "momentum"])
+def test_decompose_halves_share_factor_lists(kind):
+    """Each reduced term holds the factor list of the full T term whose
+    factor tuple it shares, so its text is written once."""
+    pair = gate_decomposition(kind, PhysParams(), 8)
+    full, reduced = cli._pair_to_json_objs(pair)
+    lists = {id(t.factors): obj["factors"] for t, obj in zip(pair.full.terms, full["terms"])}
+    assert len(reduced["terms"]) == len(pair.reduced.terms) == 7
+    for term, obj in zip(pair.reduced.terms, reduced["terms"]):
+        assert obj["factors"] is lists[id(term.factors)]
 
 
 def test_evolve_at_rest(capsys):

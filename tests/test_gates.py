@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bosonreg import gates, jsonio
 from bosonreg.bosonic import (
     PhysParams,
     b_lower,
@@ -306,6 +307,110 @@ def test_shared_invalid_placement_is_refused():
         terms = tuple(CircuitTerm(k, (guard, bad, guard, bad)) for k in range(40))
         with pytest.raises(ValueError, match=message):
             Circuit(3, terms)
+
+
+def test_circuit_rank_must_be_in_range():
+    for rank in (1, 64):
+        assert Circuit(rank, ()).rank == rank
+    for rank in (0, -1, 65):
+        with pytest.raises(ValueError, match="rank must be an integer in"):
+            Circuit(rank, ())
+        with pytest.raises(ValueError, match="rank must be an integer in"):
+            circuit_from_json_obj({"rank": rank, "terms": []})
+
+
+def _counting_checks(monkeypatch) -> list:
+    """Record each placement the gates module checks from here on."""
+    calls = []
+    check = gates._check_placement
+
+    def counted(rank, p):
+        calls.append(p)
+        return check(rank, p)
+
+    monkeypatch.setattr(gates, "_check_placement", counted)
+    return calls
+
+
+def test_decompositions_skip_the_placement_walk(monkeypatch):
+    """Decompositions build every site from range(rank), so nothing is checked."""
+    calls = _counting_checks(monkeypatch)
+    params = PhysParams(1.3, 0.8, 1.1)
+    gate_decomposition("position", params, 64)
+    gate_decomposition("momentum", params, 64)
+    displacement_generator_gateform(CoherentSpec(0.3 + 0.2j, params, 64))
+    assert calls == []
+
+
+@pytest.mark.parametrize("half", ["full", "reduced"])
+def test_parse_checks_each_placement_once(monkeypatch, half):
+    """A parse checks each distinct local or cnot factor once and each T
+    factor once, not every factor of every term."""
+    circuit = getattr(gate_decomposition("position", PhysParams(1.3, 0.8, 1.1), 64), half)
+    obj = jsonio.loads(circuit_to_json(circuit))
+    factors = [f for t in obj["terms"] for f in t["factors"]]
+    t_factors = sum(f["type"] == "T" for f in factors)
+    distinct = {tuple(sorted(f.items())) for f in factors if f["type"] != "T"}
+    calls = _counting_checks(monkeypatch)
+    assert circuit_from_json_obj(obj) == circuit
+    assert len(calls) <= len(distinct) + t_factors < len(factors) / 10
+
+
+@pytest.mark.parametrize(
+    "valid, bad",
+    [
+        (local(1, SiteOp.P1), local(5, SiteOp.P1)),
+        (cnot(0, 1), cnot(1, 4)),
+        (transpose_theta(0, 2, 0.5), transpose_theta(4, 1, 0.5)),
+    ],
+    ids=["local", "cnot", "T"],
+)
+def test_parsed_out_of_range_factor_is_refused_as_circuit_refuses_it(valid, bad):
+    """The parser raises the message Circuit raises, also when the bad factor
+    recurs and comes after valid factors of its kind."""
+    guard = local(0, SiteOp.P0)
+    terms = (CircuitTerm(1, (guard, valid)),) + tuple(
+        CircuitTerm(k, (guard, valid, bad, guard, bad)) for k in range(2, 40)
+    )
+    with pytest.raises(ValueError) as built:
+        Circuit(3, terms)
+    obj = _fresh_json_obj(Circuit(8, terms))
+    obj["rank"] = 3
+    with pytest.raises(ValueError) as parsed:
+        circuit_from_json_obj(obj)
+    assert str(parsed.value) == str(built.value)
+
+
+@pytest.mark.parametrize(
+    "position, field, value",
+    [
+        (None, "rank", 2.7),
+        (None, "rank", 3.0),
+        (None, "rank", True),
+        (1, "site", 1.9),
+        (1, "site", 1.0),
+        (1, "site", True),
+        (3, "a", 0.5),
+        (3, "b", True),
+        (4, "a", 0.5),
+        (4, "b", "2"),
+    ],
+)
+def test_parse_refuses_non_integer_fields(position, field, value):
+    """A float, bool or string where an integer belongs is refused, not
+    truncated, even when an equal valid factor came before it."""
+    factors = [
+        {"type": "local", "site": 1, "op": "P1"},
+        {"type": "local", "site": 1, "op": "P1"},
+        {"type": "cnot", "a": 0, "b": 1},
+        {"type": "cnot", "a": 0, "b": 1},
+        {"type": "T", "a": 0, "b": 2, "theta": 0.5},
+    ]
+    obj = {"rank": 3, "terms": [{"coeff": {"re": 1.0, "im": 0.0}, "factors": factors}]}
+    assert len(circuit_from_json_obj(obj).terms[0].factors) == 5
+    (obj if position is None else factors[position])[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        circuit_from_json_obj(obj)
 
 
 def _fresh_json_obj(circuit: Circuit) -> dict:
