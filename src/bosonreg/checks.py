@@ -16,7 +16,7 @@ import cmath
 import math
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,6 +69,7 @@ class CriterionResult:
     tolerance: float
     detail: str
     seconds: float
+    parts: tuple[_Part, ...] = ()  # what _combine judged; mutation-sensitivity has none
 
 
 @dataclass(frozen=True)
@@ -101,20 +102,7 @@ def _combine(name: str, parts: Sequence[_Part], seconds: float) -> CriterionResu
         tolerance=worst.tol,
         detail="; ".join(map(_text, parts)),
         seconds=seconds,
-    )
-
-
-def _append(result: CriterionResult, part: _Part, seconds: float) -> CriterionResult:
-    """The result _combine gives with `part` as the last part and `seconds` added.
-    max() keeps the first of equally severe parts, so the old worst stays ahead."""
-    worst = max((_Part("", result.max_deviation, result.tolerance), part), key=_severity)
-    return replace(
-        result,
-        passed=result.passed and part.ok,
-        max_deviation=worst.dev,
-        tolerance=worst.tol,
-        detail=f"{result.detail}; {_text(part)}",
-        seconds=result.seconds + seconds,
+        parts=tuple(parts),
     )
 
 
@@ -650,8 +638,8 @@ def run_criteria(cfg: VerifyConfig, mutation: str = "none") -> list[CriterionRes
     """Run the named criteria; unmutated runs append the sensitivity check.
 
     An unmutated run also takes one dense 2**R exponential on a worker thread
-    while the criteria run, and appends it to coherent-states; the time it
-    took to start and to wait for counts in that criterion's seconds.
+    while the criteria run, and adds it as the last part of coherent-states;
+    the time it took to start and to wait for counts in that criterion's seconds.
     mutation-sensitivity judges coherent-states without it, as every
     faulted run measures it.
     """
@@ -666,7 +654,9 @@ def run_criteria(cfg: VerifyConfig, mutation: str = "none") -> list[CriterionRes
     finally:
         started = time.perf_counter()
         dense = finish()
+    waited = lead + time.perf_counter() - started
     results = [result for result, _ in runs]
     at = CRITERION_NAMES.index("coherent-states")
-    results[at] = _append(results[at], dense, lead + time.perf_counter() - started)
+    states = results[at]
+    results[at] = _combine(states.name, [*states.parts, dense], states.seconds + waited)
     return results + [sensitivity]

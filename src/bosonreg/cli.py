@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Thin shell over the library: identity verification, map evaluation, state
-construction, decomposition export, and trajectory generation.  All numeric
-output is written with 17 significant digits so runs can be diffed exactly.
+construction, decomposition export, and trajectory generation.  Every
+command takes one path through `main`: validate the shared options, pick the
+format (each subparser declares its formats, the first being the default),
+run the command, which returns (passed, output), and write the output once,
+a JSON value through `jsonio.dumps`.  All numeric output is written with 17
+significant digits so runs can be diffed exactly.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 """
@@ -75,58 +79,50 @@ def _params(args: argparse.Namespace) -> PhysParams:
     return PhysParams(args.alpha, args.beta, args.hbar)
 
 
-def _pick_format(args: argparse.Namespace, default: str, allowed: tuple[str, ...]) -> str:
-    chosen = args.format or default
-    if chosen not in allowed:
+def _pick_format(args: argparse.Namespace) -> str:
+    """--format, or the command's default: the first of the formats it declares."""
+    chosen = args.format or args.formats[0]
+    if chosen not in args.formats:
         raise _UsageError(
-            f"format {chosen!r} is not supported here (allowed: {', '.join(allowed)})"
+            f"format {chosen!r} is not supported here (allowed: {', '.join(args.formats)})"
         )
     return chosen
+
+
+def _coherent_spec(args: argparse.Namespace, text: str) -> CoherentSpec:
+    """The coherent amplitude `text` at the run's rank and parameters."""
+    return CoherentSpec(parse_complex(text), _params(args), args.rank,
+                        allow_truncation_risk=args.allow_truncation_risk)
 
 
 # --- algebra-check --------------------------------------------------------
 
 
-def _cmd_algebra_check(args: argparse.Namespace) -> int:
-    _check_config(args)
-    fmt = _pick_format(args, "text", ("text", "json"))
+def _cmd_algebra_check(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
     report = [
         {"name": name, "max_deviation": dev, "passed": dev <= args.tol}
         for name, dev in algebra_groups()
     ]
     passed = all(entry["passed"] for entry in report)
     if fmt == "json":
-        _emit(
-            jsonio.dumps(
-                {
-                    "command": "algebra-check",
-                    "tol": args.tol,
-                    "groups": report,
-                    "passed": passed,
-                }
-            ),
-            args.out,
-        )
-    else:
-        lines = [
-            f"{'PASS' if entry['passed'] else 'FAIL'} {entry['name']}"
-            f" max_deviation={jsonio.fmt_float(entry['max_deviation'])}"
-            for entry in report
-        ]
-        lines.append(
-            f"algebra-check: {'PASS' if passed else 'FAIL'}"
-            f" ({len(report)} groups, tol={jsonio.fmt_float(args.tol)})"
-        )
-        _emit("\n".join(lines), args.out)
-    return 0 if passed else 1
+        return passed, {"command": "algebra-check", "tol": args.tol, "groups": report,
+                        "passed": passed}
+    lines = [
+        f"{'PASS' if entry['passed'] else 'FAIL'} {entry['name']}"
+        f" max_deviation={jsonio.fmt_float(entry['max_deviation'])}"
+        for entry in report
+    ]
+    lines.append(
+        f"algebra-check: {'PASS' if passed else 'FAIL'}"
+        f" ({len(report)} groups, tol={jsonio.fmt_float(args.tol)})"
+    )
+    return passed, "\n".join(lines)
 
 
 # --- map ------------------------------------------------------------------
 
 
-def _cmd_map(args: argparse.Namespace) -> int:
-    _check_config(args)
-    fmt = _pick_format(args, "text", ("text", "json"))
+def _cmd_map(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
     bits = _parse_bits(args.bits)
     if args.mode == "computational":
         if args.period is not None:
@@ -135,47 +131,30 @@ def _cmd_map(args: argparse.Namespace) -> int:
             raise _UsageError("computational mode needs at least one bit")
         value = computational_map(bits)
         if fmt == "json":
-            _emit(
-                jsonio.dumps({"command": "map", "mode": "computational", "value": value}),
-                args.out,
-            )
-        else:
-            _emit(str(value), args.out)
-        return 0
+            return True, {"command": "map", "mode": "computational", "value": value}
+        return True, str(value)
     period = _parse_bits(args.period) if args.period is not None else ()
     seq = EventuallyPeriodicSequence(bits, period)
     value = continuum_map(seq)
     label = seq.classify().value
     if fmt == "json":
-        _emit(
-            jsonio.dumps(
-                {
-                    "command": "map",
-                    "mode": "continuum",
-                    "numerator": value.numerator,
-                    "denominator": value.denominator,
-                    "decimal": float(value),
-                    "classification": label,
-                }
-            ),
-            args.out,
-        )
-    else:
-        _emit(
-            f"{value.numerator}/{value.denominator}"
-            f" = {jsonio.fmt_float(float(value))} ({label})",
-            args.out,
-        )
-    return 0
+        return True, {
+            "command": "map",
+            "mode": "continuum",
+            "numerator": value.numerator,
+            "denominator": value.denominator,
+            "decimal": float(value),
+            "classification": label,
+        }
+    decimal = jsonio.fmt_float(float(value))
+    return True, f"{value.numerator}/{value.denominator} = {decimal} ({label})"
 
 
 # --- state ----------------------------------------------------------------
 
 
-def _cmd_state(args: argparse.Namespace) -> int:
-    _check_config(args)
-    _pick_format(args, "json", ("json",))
-    params = _params(args)
+def _cmd_state(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
+    params = _params(args)  # before the value, so a bad energy scale is reported first
     if args.kind == "number":
         try:
             n = int(args.value)
@@ -183,45 +162,31 @@ def _cmd_state(args: argparse.Namespace) -> int:
             raise _UsageError(f"number state needs an integer level, got {args.value!r}") from None
         if not 0 <= n < args.rank:
             raise _UsageError(f"level {n} outside [0, {args.rank - 1}]")
-        state = number_state(n, params, args.rank)
-        _emit(jsonio.dumps(state.to_json_obj(kind="number", level=n)), args.out)
-        return 0
-    z = parse_complex(args.value)
-    spec = CoherentSpec(z, params, args.rank, allow_truncation_risk=args.allow_truncation_risk)
+        return True, number_state(n, params, args.rank).to_json_obj(kind="number", level=n)
+    spec = _coherent_spec(args, args.value)
     built = coherent_series(spec)
-    obj = built.state.to_json_obj(
-        kind="coherent",
-        z={"re": z.real, "im": z.imag},
-        tail_mass=built.tail_mass,
-    )
-    _emit(jsonio.dumps(obj), args.out)
-    return 0
+    z = {"re": spec.z.real, "im": spec.z.imag}
+    return True, built.state.to_json_obj(kind="coherent", z=z, tail_mass=built.tail_mass)
 
 
 # --- decompose ------------------------------------------------------------
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    _check_config(args)
-    _pick_format(args, "json", ("json",))
-    params = _params(args)
+def _cmd_decompose(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
+    params = _params(args)  # before --z, so a bad energy scale is reported first
     obj = {"command": "decompose", "kind": args.kind, "rank": args.rank}
     if args.kind == "displacement":
         if args.z is None:
             raise _UsageError("decompose displacement requires --z")
-        z = parse_complex(args.z)
-        spec = CoherentSpec(
-            z, params, args.rank, allow_truncation_risk=args.allow_truncation_risk
-        )
+        spec = _coherent_spec(args, args.z)
         pair = displacement_generator_gateform(spec)
-        obj.update(z={"re": z.real, "im": z.imag}, r=spec.r, theta=spec.theta)
+        obj.update(z={"re": spec.z.real, "im": spec.z.imag}, r=spec.r, theta=spec.theta)
     else:
         if args.z is not None:
             raise _UsageError("--z applies only to decompose displacement")
         pair = gate_decomposition(args.kind, params, args.rank)
     obj["full"], obj["reduced"] = _pair_to_json_objs(pair)
-    _emit(jsonio.dumps(obj), args.out)
-    return 0
+    return True, obj
 
 
 def _pair_to_json_objs(pair: CircuitPair) -> tuple[dict, dict]:
@@ -235,30 +200,21 @@ def _pair_to_json_objs(pair: CircuitPair) -> tuple[dict, dict]:
 # --- evolve ---------------------------------------------------------------
 
 
-def _cmd_evolve(args: argparse.Namespace) -> int:
-    _check_config(args)
-    _pick_format(args, "csv", ("csv",))
+def _cmd_evolve(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
     if args.steps < 2:
         raise _UsageError(f"--steps must be at least 2, got {args.steps}")
     if not (math.isfinite(args.t0) and math.isfinite(args.t1)) or args.t1 <= args.t0:
         raise _UsageError("need finite times with --t1 greater than --t0")
     if not math.isfinite(args.t1 - args.t0):
         raise _UsageError("the time span --t1 - --t0 overflows; it must be finite")
-    z = parse_complex(args.z)
-    spec = CoherentSpec(
-        z, _params(args), args.rank, allow_truncation_risk=args.allow_truncation_risk
-    )
-    times = np.linspace(args.t0, args.t1, args.steps)
-    _emit(trajectory(spec, times).to_csv(), args.out)
-    return 0
+    spec = _coherent_spec(args, args.z)
+    return True, trajectory(spec, np.linspace(args.t0, args.t1, args.steps)).to_csv()
 
 
 # --- verify ---------------------------------------------------------------
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    _check_config(args)
-    fmt = _pick_format(args, "text", ("text", "json"))
+def _cmd_verify(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
     cfg = VerifyConfig(
         rank=args.rank, alpha=args.alpha, beta=args.beta, hbar=args.hbar, seed=args.seed
     )
@@ -266,7 +222,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     passed = all(r.passed for r in results)
     total = sum(r.seconds for r in results)
     if fmt == "json":
-        obj = {
+        return passed, {
             "command": "verify",
             "mutation": args.mutate,
             "criteria": [
@@ -283,25 +239,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "passed": passed,
             "seconds": total,
         }
-        _emit(jsonio.dumps(obj), args.out)
-    else:
-        lines = []
-        for r in results:
-            lines.append(
-                f"{'PASS' if r.passed else 'FAIL'} {r.name}"
-                f" max_deviation={jsonio.fmt_float(r.max_deviation)}"
-                f" tolerance={jsonio.fmt_float(r.tolerance)}"
-                f" ({r.seconds:.2f}s)"
-            )
-            if not r.passed:
-                lines.append(f"     {r.detail}")
-        tally = sum(1 for r in results if r.passed)
+    lines = []
+    for r in results:
         lines.append(
-            f"verify: {'PASS' if passed else 'FAIL'}"
-            f" ({tally}/{len(results)} criteria passed, {total:.2f}s)"
+            f"{'PASS' if r.passed else 'FAIL'} {r.name}"
+            f" max_deviation={jsonio.fmt_float(r.max_deviation)}"
+            f" tolerance={jsonio.fmt_float(r.tolerance)}"
+            f" ({r.seconds:.2f}s)"
         )
-        _emit("\n".join(lines), args.out)
-    return 0 if passed else 1
+        if not r.passed:
+            lines.append(f"     {r.detail}")
+    tally = sum(1 for r in results if r.passed)
+    lines.append(
+        f"verify: {'PASS' if passed else 'FAIL'}"
+        f" ({tally}/{len(results)} criteria passed, {total:.2f}s)"
+    )
+    return passed, "\n".join(lines)
 
 
 # --- parser ---------------------------------------------------------------
@@ -331,30 +284,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("algebra-check", parents=[common],
                        help="verify the operator product table and gate identities")
-    p.set_defaults(func=_cmd_algebra_check)
+    p.set_defaults(func=_cmd_algebra_check, formats=("text", "json"))
 
     p = sub.add_parser("map", parents=[common],
                        help="evaluate the computational or continuum map of a bit string")
     p.add_argument("bits", help="bit string, site 0 first (may be empty for pure-period input)")
     p.add_argument("--mode", choices=("computational", "continuum"), default="computational")
     p.add_argument("--period", default=None, help="repeating bit block (continuum mode)")
-    p.set_defaults(func=_cmd_map)
+    p.set_defaults(func=_cmd_map, formats=("text", "json"))
 
     p = sub.add_parser("state", parents=[common],
                        help="construct a number or coherent state and emit its JSON")
     p.add_argument("kind", choices=("number", "coherent"))
     p.add_argument("value", help="level n for number, z as a+bi for coherent")
-    p.add_argument("--allow-truncation-risk", action="store_true",
-                   help="bypass the |z|^2 <= rank/4 guard")
-    p.set_defaults(func=_cmd_state)
+    p.set_defaults(func=_cmd_state, formats=("json",))
 
     p = sub.add_parser("decompose", parents=[common],
                        help="emit a gate decomposition as circuit JSON (full and reduced)")
     p.add_argument("kind", choices=("position", "momentum", "displacement"))
     p.add_argument("--z", default=None, help="displacement argument as a+bi")
-    p.add_argument("--allow-truncation-risk", action="store_true",
-                   help="bypass the |z|^2 <= rank/4 guard")
-    p.set_defaults(func=_cmd_decompose)
+    p.set_defaults(func=_cmd_decompose, formats=("json",))
 
     p = sub.add_parser("evolve", parents=[common],
                        help="emit a coherent-state trajectory as CSV")
@@ -362,16 +311,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--steps", type=int, default=256)
-    p.add_argument("--allow-truncation-risk", action="store_true",
-                   help="bypass the |z|^2 <= rank/4 guard")
-    p.set_defaults(func=_cmd_evolve)
+    p.set_defaults(func=_cmd_evolve, formats=("csv",))
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the full verification suite with pinned tolerances")
     p.add_argument("--mutate", choices=MUTATIONS, default="none",
                    help="inject a deliberate fault to exercise the suite")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, formats=("text", "json"))
 
+    # last in each of these parsers: a shared parent parser would list it
+    # among the common options in --help
+    for name in ("state", "decompose", "evolve"):
+        sub.choices[name].add_argument("--allow-truncation-risk", action="store_true",
+                                       help="bypass the |z|^2 <= rank/4 guard")
     # argparse would read -0.156+0.485i as an unknown option: take a minus
     # followed by a digit as the start of a value, as it does for -0.5.
     for p in (parser, *sub.choices.values()):
@@ -386,7 +338,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        _check_config(args)
+        fmt = _pick_format(args)
+        passed, output = args.func(args, fmt)
+        _emit(output if isinstance(output, str) else jsonio.dumps(output), args.out)
     except BosonRegError as exc:
         print(f"bosonreg: error: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed else 1

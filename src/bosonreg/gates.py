@@ -475,23 +475,20 @@ def circuit_to_json(circuit: Circuit) -> str:
     return jsonio.dumps(circuit_to_json_obj(circuit))
 
 
-def _json_int(obj: Mapping, field: str) -> int:
-    """An integer field, refused rather than truncated when it is not a JSON integer."""
-    value = obj[field]
-    if type(value) is not int:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
 def _placement_from_obj(obj: Mapping) -> GatePlacement:
     kind = obj["type"]
     if kind == "local":
-        return local(_json_int(obj, "site"), _OPS_BY_NAME[obj["op"]])
+        site = jsonio.integer(obj["site"], "site")
+        op = _OPS_BY_NAME.get(obj["op"])
+        if op is None:
+            raise ValueError(f"unknown op {obj['op']!r}")
+        return local(site, op)
+    if kind != "cnot" and kind != "T":
+        raise ValueError(f"unknown factor type {kind!r}")
+    a, b = jsonio.integer(obj["a"], "a"), jsonio.integer(obj["b"], "b")
     if kind == "cnot":
-        return cnot(_json_int(obj, "a"), _json_int(obj, "b"))
-    if kind == "T":
-        return transpose_theta(_json_int(obj, "a"), _json_int(obj, "b"), float(obj["theta"]))
-    raise ValueError(f"unknown factor type {kind!r}")
+        return cnot(a, b)
+    return transpose_theta(a, b, jsonio.number(obj["theta"], "theta"))
 
 
 def circuit_from_json_obj(obj: Mapping) -> Circuit:
@@ -501,27 +498,35 @@ def circuit_from_json_obj(obj: Mapping) -> Circuit:
     call for each distinct value of the fields its kind reads, and the type of
     each integer field is part of that value.  T factors are parsed every
     time: 0.0 == -0.0 as a key, so sharing would lose the sign of a zero
-    theta.  The rank and every site must be JSON integers.
+    theta.  The rank and every site must be JSON integers, and theta and the
+    coefficients JSON numbers; those, a missing field and an unknown name are
+    refused with a ValueError.
     """
-    rank = _check_rank(_json_int(obj, "rank"))
     parsed: dict[tuple, GatePlacement] = {}
     terms = []
-    for t in obj["terms"]:
-        factors = []
-        for p in t["factors"]:
-            kind = p["type"]
-            if kind == "local":
-                key = (kind, p["site"], type(p["site"]), p["op"])
-            elif kind == "cnot":
-                key = (kind, p["a"], p["b"], type(p["a"]), type(p["b"]))
-            else:  # T, or an unknown type that raises
-                factors.append(_check_placement(rank, _placement_from_obj(p)))
-                continue
-            placement = parsed.get(key)
-            if placement is None:
-                placement = parsed[key] = _check_placement(rank, _placement_from_obj(p))
-            factors.append(placement)
-        terms.append(CircuitTerm(complex(t["coeff"]["re"], t["coeff"]["im"]), tuple(factors)))
+    # fields are indexed directly, the cheapest read in the per-factor loop;
+    # the block turns the KeyError of a missing one into a ValueError
+    with jsonio.required_fields():
+        rank = _check_rank(jsonio.integer(obj["rank"], "rank"))
+        for t in obj["terms"]:
+            factors = []
+            for p in t["factors"]:
+                kind = p["type"]
+                if kind == "local":
+                    site = p["site"]
+                    key = (kind, site, type(site), p["op"])
+                elif kind == "cnot":
+                    a, b = p["a"], p["b"]
+                    key = (kind, a, b, type(a), type(b))
+                else:  # T, or an unknown type that raises
+                    factors.append(_check_placement(rank, _placement_from_obj(p)))
+                    continue
+                placement = parsed.get(key)
+                if placement is None:
+                    placement = parsed[key] = _check_placement(rank, _placement_from_obj(p))
+                factors.append(placement)
+            re, im = jsonio.number(t["coeff"]["re"], "re"), jsonio.number(t["coeff"]["im"], "im")
+            terms.append(CircuitTerm(complex(re, im), tuple(factors)))
     return Circuit._trusted(rank, tuple(terms))
 
 

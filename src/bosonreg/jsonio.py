@@ -4,17 +4,21 @@ Every float is written with 17 significant digits so output is reproducible
 across runs and machines.  Parsing it back gives an equal value, but a whole
 float comes back as an int (``-0.0`` is written ``-0``, losing its sign).
 Strings and keys are quoted by the standard library's ASCII encoder, as
-``json.dumps`` quotes them.  Parsing is delegated to the standard library.
+``json.dumps`` quotes them.  Parsing is delegated to the standard library;
+the parsers of this package read fields through `required_fields`,
+`integer` and `number`, which refuse a missing or mistyped value rather
+than coerce it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
+from typing import Any, Iterator
 
-__all__ = ["dumps", "loads", "fmt_float"]
+__all__ = ["dumps", "loads", "fmt_float", "required_fields", "integer", "number"]
 
 
 def fmt_float(x: float) -> str:
@@ -84,3 +88,31 @@ def _dumps(obj: Any, written: dict[int, str], held: list) -> str:
 
 def loads(text: str) -> Any:
     return json.loads(text)
+
+
+@contextlib.contextmanager
+def required_fields() -> Iterator[None]:
+    """Within the block, a KeyError (a field missing from a parsed object) is
+    a ValueError that names the field."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc.args[0]!r}") from None
+
+
+def integer(value: Any, name: str) -> int:
+    """A JSON integer; a float, bool or string is refused, not truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def number(value: Any, name: str) -> float:
+    """A JSON number as a float.  Ints are numbers, since a whole float is
+    written as one; a bool or string is refused, not coerced."""
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the largest float
+        raise ValueError(f"{name} is out of the float range") from None

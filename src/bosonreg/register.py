@@ -383,8 +383,16 @@ class RegisterState:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "RegisterState":
-        rows = obj["amplitudes"]
-        return cls(int(obj["rank"]), ((int(k), complex(re, im)) for k, re, im in rows))
+        """Refuses, rather than truncates, a rank or key that is not a JSON
+        integer and an amplitude part that is not a JSON number."""
+        number = jsonio.number
+        with jsonio.required_fields():
+            rank = jsonio.integer(obj["rank"], "rank")
+            rows = [
+                (jsonio.integer(k, "key"), complex(number(re, "re"), number(im, "im")))
+                for k, re, im in obj["amplitudes"]
+            ]
+        return cls(rank, rows)
 
     @classmethod
     def from_json(cls, text: str) -> "RegisterState":

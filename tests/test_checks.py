@@ -168,6 +168,17 @@ def test_dense_exponential_is_the_expm_block(cfg):
     assert (part.label, part.dev, part.tol) == ("dense-exponential", expected, 1e-8)
     [states] = [r for r in run_criteria(cfg) if r.name == "coherent-states"]
     assert states.detail.endswith(f"; dense-exponential {expected:.3g}/1e-08")
+    assert states.parts[-1] == part
+
+
+def test_each_result_is_its_parts_combined():
+    """Every criterion but mutation-sensitivity carries the parts it was judged
+    on, dense-exponential included, and they give back its result."""
+    results = run_criteria(CONFIGS[1])
+    for result in results[:-1]:
+        assert result.parts
+        assert checks._combine(result.name, result.parts, result.seconds) == result
+    assert results[-1].name == "mutation-sensitivity" and results[-1].parts == ()
 
 
 def _failing_off_main(fn):

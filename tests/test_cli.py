@@ -448,6 +448,76 @@ def test_config_validation(capsys):
     assert run(capsys, "nonsense")[0] == 2
 
 
+# each subcommand with a valid argv, and a format it does not support
+_COMMANDS = {
+    "algebra-check": (("algebra-check",), "csv", "text, json"),
+    "map": (("map", "1"), "csv", "text, json"),
+    "state": (("state", "number", "1"), "text", "json"),
+    "decompose": (("decompose", "position"), "text", "json"),
+    "evolve": (("evolve", "--z", "0.5", "--t1", "1"), "json", "csv"),
+    "verify": (("verify",), "csv", "text, json"),
+}
+
+_BAD_CONFIG = {
+    ("--rank", "99"): "--rank must be in [2, 64], got 99",
+    ("--alpha", "0"): "--alpha must be positive and finite",
+    ("--tol", "-1"): "--tol must be a non-negative finite real",
+}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_every_command_refuses_bad_config_and_format_in_one_line(capsys, command):
+    """Config is checked before the format, and both before the command runs."""
+    argv, bad_format, allowed = _COMMANDS[command]
+    for option, message in _BAD_CONFIG.items():
+        assert run(capsys, *argv, *option) == (2, "", f"bosonreg: error: {message}\n")
+    refusal = f"format {bad_format!r} is not supported here (allowed: {allowed})"
+    assert run(capsys, *argv, "--format", bad_format) == (2, "", f"bosonreg: error: {refusal}\n")
+    both = run(capsys, *argv, "--format", bad_format, "--rank", "99")
+    assert both == (2, "", "bosonreg: error: --rank must be in [2, 64], got 99\n")
+
+
+_COMMON_ACTIONS = [
+    (("-h", "--help"), "help"), (("--rank",), "rank"), (("--alpha",), "alpha"),
+    (("--beta",), "beta"), (("--hbar",), "hbar"), (("--tol",), "tol"),
+    (("--format",), "format"), (("--out",), "out"), (("--seed",), "seed"),
+]
+_RISK = [(("--allow-truncation-risk",), "allow_truncation_risk")]
+_OWN_ACTIONS = {
+    "algebra-check": [],
+    "map": [((), "bits"), (("--mode",), "mode"), (("--period",), "period")],
+    "state": [((), "kind"), ((), "value"), *_RISK],
+    "decompose": [((), "kind"), (("--z",), "z"), *_RISK],
+    "evolve": [(("--z",), "z"), (("--t0",), "t0"), (("--t1",), "t1"), (("--steps",), "steps"),
+               *_RISK],
+    "verify": [(("--mutate",), "mutate")],
+}
+
+
+def test_parser_actions_keep_their_order():
+    """The options of each parser, in the order --help lists them."""
+    def actions(parser):
+        return [(tuple(a.option_strings), a.dest) for a in parser._actions]
+
+    parser = cli._build_parser()
+    assert actions(parser) == [(("-h", "--help"), "help"), ((), "command")]
+    subparsers = parser._actions[-1].choices
+    assert list(subparsers) == list(_OWN_ACTIONS)
+    for name, own in _OWN_ACTIONS.items():
+        assert actions(subparsers[name]) == _COMMON_ACTIONS + own, name
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_only_coherent_commands_take_the_truncation_flag(capsys, command):
+    argv = [*_COMMANDS[command][0], "--allow-truncation-risk"]
+    if command in ("state", "decompose", "evolve"):
+        assert cli._build_parser().parse_args(argv).allow_truncation_risk is True
+    else:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --allow-truncation-risk\n")
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "state.json"
     code, out, _ = run(capsys, "state", "number", "1", "--rank", "4", "--out", str(target))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -411,6 +412,73 @@ def test_parse_refuses_non_integer_fields(position, field, value):
     (obj if position is None else factors[position])[field] = value
     with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
         circuit_from_json_obj(obj)
+
+
+def _parse_one_term(coeff: dict, factors: list) -> Circuit:
+    return circuit_from_json_obj({"rank": 3, "terms": [{"coeff": coeff, "factors": factors}]})
+
+
+_VALID_FACTORS = [
+    {"type": "local", "site": 1, "op": "P1"},
+    {"type": "cnot", "a": 0, "b": 1},
+    {"type": "T", "a": 0, "b": 2, "theta": 0.5},
+]
+
+
+@pytest.mark.parametrize(
+    "position, field, message",
+    [(0, "type", "missing field 'type'"), (0, "op", "missing field 'op'"),
+     (0, "site", "missing field 'site'"), (1, "b", "missing field 'b'"),
+     (2, "a", "missing field 'a'"), (2, "theta", "missing field 'theta'")],
+)
+def test_parse_refuses_a_missing_factor_field(position, field, message):
+    factors = [dict(f) for f in _VALID_FACTORS]
+    del factors[position][field]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _parse_one_term({"re": 1, "im": 0}, factors)
+
+
+def test_parse_refuses_missing_fields_and_unknown_names():
+    coeff = {"re": 1.0, "im": 0.0}
+    with pytest.raises(ValueError, match="^unknown op 'X'$"):
+        _parse_one_term(coeff, [{"type": "local", "site": 0, "op": "X"}])
+    with pytest.raises(ValueError, match="^unknown factor type 'swap'$"):
+        _parse_one_term(coeff, [{"type": "swap", "a": 0, "b": 1}])
+    with pytest.raises(ValueError, match="^missing field 'im'$"):
+        _parse_one_term({"re": 1.0}, _VALID_FACTORS)
+    with pytest.raises(ValueError, match="^missing field 'coeff'$"):
+        circuit_from_json_obj({"rank": 3, "terms": [{"factors": []}]})
+    with pytest.raises(ValueError, match="^missing field 'factors'$"):
+        circuit_from_json_obj({"rank": 3, "terms": [{"coeff": coeff}]})
+    for field in ("rank", "terms"):
+        obj = {"rank": 3, "terms": []}
+        del obj[field]
+        with pytest.raises(ValueError, match=f"^missing field '{field}'$"):
+            circuit_from_json_obj(obj)
+
+
+@pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
+def test_parse_refuses_non_number_theta_and_coefficients(value):
+    """theta, re and im must be JSON numbers: a bool or string is not coerced."""
+    factors = [dict(f) for f in _VALID_FACTORS]
+    factors[2]["theta"] = value
+    refusal = f"^theta must be a number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=refusal):
+        _parse_one_term({"re": 1, "im": 0}, factors)
+    for part in ("re", "im"):
+        coeff = {"re": 1.0, "im": 0.0, part: value}
+        with pytest.raises(ValueError, match=f"^{part} must be a number, got "):
+            _parse_one_term(coeff, _VALID_FACTORS)
+
+
+def test_parse_takes_whole_numbers_written_as_ints():
+    """jsonio writes a whole float as an int, so an int theta or coefficient parses."""
+    factors = [dict(f) for f in _VALID_FACTORS]
+    factors[2]["theta"] = 2
+    circuit = _parse_one_term({"re": 3, "im": -1}, factors)
+    assert circuit.terms[0].coeff == 3 - 1j
+    assert circuit.terms[0].factors[2] == transpose_theta(0, 2, 2.0)
+    assert circuit_from_json(circuit_to_json(circuit)) == circuit
 
 
 def _fresh_json_obj(circuit: Circuit) -> dict:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bosonreg.jsonio import dumps, fmt_float
+from bosonreg.jsonio import dumps, fmt_float, integer, number, required_fields
 
 
 def _reference(obj) -> str:
@@ -118,3 +118,25 @@ def test_dumps_refuses_what_the_reference_refuses(bad, expected):
         assert _error_type(dumps, obj) is expected
         assert _error_type(_reference, obj) is expected
 
+
+
+def test_integer_and_number_refuse_rather_than_coerce():
+    assert integer(7, "n") == 7 and integer(-2**70, "n") == -2**70
+    for bad in (7.0, 2.5, True, "7", None):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            integer(bad, "n")
+    assert number(3, "x") == 3.0 and type(number(3, "x")) is float
+    assert number(-0.25, "x") == -0.25
+    for bad in (True, False, "0.5", None, [1.0]):
+        with pytest.raises(ValueError, match=r"^x must be a number, got "):
+            number(bad, "x")
+    with pytest.raises(ValueError, match=r"^x is out of the float range$"):
+        number(-10**400, "x")
+
+
+def test_required_fields_names_the_missing_field():
+    with pytest.raises(ValueError, match="^missing field 'terms'$"):
+        with required_fields():
+            {"rank": 2}["terms"]
+    with required_fields():
+        assert {"rank": 2}["rank"] == 2

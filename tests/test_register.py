@@ -183,6 +183,32 @@ def test_json_roundtrip_is_exact(amplitudes):
     assert again == state
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"rank": 2.7, "amplitudes": [[1.9, 1, 0]]}, "rank must be an integer, got 2.7"),
+        ({"rank": "3", "amplitudes": []}, "rank must be an integer, got '3'"),
+        ({"rank": True, "amplitudes": []}, "rank must be an integer, got True"),
+        ({"rank": 2, "amplitudes": [[1.9, 1, 0]]}, "key must be an integer, got 1.9"),
+        ({"rank": 2, "amplitudes": [[1.0, 1, 0]]}, "key must be an integer, got 1.0"),
+        ({"rank": 2, "amplitudes": [[1, True, 0]]}, "re must be a number, got True"),
+        ({"rank": 2, "amplitudes": [[1, 1, "0"]]}, "im must be a number, got '0'"),
+        ({"rank": 2}, "missing field 'amplitudes'"),
+        ({"amplitudes": []}, "missing field 'rank'"),
+    ],
+)
+def test_json_parse_refuses_what_it_would_truncate_or_coerce(obj, message):
+    with pytest.raises(ValueError) as refused:
+        RegisterState.from_json_obj(obj)
+    assert str(refused.value) == message
+
+
+def test_json_parse_takes_int_amplitude_parts():
+    """A whole float is written as an int, so ints are read as amplitude parts."""
+    state = RegisterState.from_json_obj({"rank": 2, "amplitudes": [[1, 1, 0], [2, 0.5, -2]]})
+    assert state == RegisterState(2, {1: 1.0, 2: 0.5 - 2j})
+
+
 def test_json_layout():
     s = RegisterState(2, {2: 0.5 - 1j})
     obj = s.to_json_obj()
