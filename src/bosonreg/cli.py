@@ -60,8 +60,11 @@ def _emit(text: str, out: str | None) -> None:
     data = text if text.endswith("\n") else text + "\n"
     if out is None:
         sys.stdout.write(data)
-    else:
+        return
+    try:
         Path(out).write_text(data, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
 
 
 def _check_config(args: argparse.Namespace) -> None:

@@ -29,7 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, repeat
+from itertools import islice, repeat
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -295,12 +295,10 @@ def evolve(state: RegisterState, t: float, params: PhysParams) -> RegisterState:
     return RegisterState._trusted(state.rank, out)
 
 
-#: RegisterState._trusted's test for a stored amplitude, abs(value) > 0.0
-_STORED = (0.0).__lt__
-
-
-def _split(pairs: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    return [first for first, _ in pairs], [second for _, second in pairs]
+def _running_sum(terms: np.ndarray) -> np.ndarray:
+    """reduce(add, terms, 0.0) along the last axis, in order; np.sum may pair terms."""
+    zero = np.zeros(terms.shape[:-1] + (1,))
+    return np.add.accumulate(np.concatenate((zero, terms), axis=-1), axis=-1)[..., -1]
 
 
 def tabulate(
@@ -314,12 +312,13 @@ def tabulate(
     One column per op, one value per time, bit for bit the values of that
     loop.  Each op is compiled once over the state's key order, which every
     snapshot keeps: a nonzero amplitude times a unit phase never rounds to
-    0, because cos or sin exceeds 1/2 in magnitude.  Each time then runs a
-    few passes of the same complex operations in the same order: the level
-    phases from factors -1j (n + 1/2) computed once, one conjugate list for
-    the norm and every sandwich, the layered image sums of the plan, and
-    inner_product's choice of side (the image when it stores fewer keys)
-    and its skip of keys the other side does not store.
+    0, because cos or sin exceeds 1/2 in magnitude.  Each time's snapshot,
+    norm and refusals come first, from the phase factors -1j (n + 1/2).
+    Then each op runs on up to 1024 times at once as float64 array passes
+    of the same operations in the same order: the plan's layered image
+    sums, and inner_product's sum of conj(state) * image from 0j in the
+    image's order when it stores fewer keys, else the state's; a key the
+    image does not store adds +0.0, which changes no sum.
     """
     check_transbosonic(state)
     keys = list(state.amplitudes)
@@ -329,26 +328,33 @@ def tabulate(
     compiled = []
     for op in ops:
         plan = op.plan(keys)
-        # (state position, image position) of each key both sides may store
-        shared = [(where[key], j) for j, key in enumerate(plan.keys) if key in where]
-        compiled.append((plan, _split(shared), _split(sorted(shared))))
+        # image slot and state position of each key both sides may store, in image order
+        slots = [j for j, key in enumerate(plan.keys) if key in where]
+        positions = np.array([where[plan.keys[j]] for j in slots], dtype=np.intp)
+        compiled.append((plan, slots, positions, np.argsort(positions)))
     columns: list[list[float]] = [[] for _ in compiled]
-    for t in times:
-        rate = _phase_rate(state.rank, float(t), params)
-        amps = list(map(mul, start, map(cmath.exp, map(mul, turns, repeat(rate)))))
-        conj = list(map(complex.conjugate, amps))
-        norm_sq = _nonzero(reduce(add, map(mul, conj, amps), 0j).real)
-        amps.append(0j)  # the zero amplitude the plans' padding reads
-        for column, (plan, by_image, by_state) in zip(columns, compiled):
-            image = apply_plan(plan, amps)
-            stored = list(map(_STORED, map(abs, image)))
-            count = len(image) - stored.count(False)
-            positions, slots = by_image if count < len(keys) else by_state
-            if count < len(image):
-                picked = list(map(stored.__getitem__, slots))
-                positions, slots = list(compress(positions, picked)), list(compress(slots, picked))
-            terms = map(mul, map(conj.__getitem__, positions), map(image.__getitem__, slots))
-            column.append((reduce(add, terms, 0j) / norm_sq).real)
+    times = iter(times)
+    while block := list(islice(times, 1024)):  # blocks bound the arrays' memory
+        rows, norms = [], []
+        for t in block:
+            rate = _phase_rate(state.rank, float(t), params)
+            amps = list(map(mul, start, map(cmath.exp, map(mul, turns, repeat(rate)))))
+            conj = map(complex.conjugate, amps)
+            norms.append(_nonzero(reduce(add, map(mul, conj, amps), 0j).real))
+            rows.append(amps + [0j])  # the zero amplitude the plans' padding reads
+        snapshots = np.array(rows)
+        re, im = snapshots.real, snapshots.imag
+        with np.errstate(all="ignore"):  # an inf or nan arises as silently as in Python
+            for column, (plan, slots, positions, by_state) in zip(columns, compiled):
+                image_re, image_im = apply_plan(plan, re, im)
+                stored = np.hypot(image_re, image_im) > 0.0
+                a_re, a_im = re[:, positions], -im[:, positions]
+                b_re, b_im = image_re[:, slots], image_im[:, slots]
+                products = (a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re)
+                terms = np.where(stored[:, slots], products, 0.0)
+                fewer = stored.sum(axis=1) < len(keys)
+                sums = np.where(fewer, _running_sum(terms), _running_sum(terms[..., by_state]))
+                column += [(complex(r, i) / n).real for r, i, n in zip(*sums.tolist(), norms)]
     return columns
 
 

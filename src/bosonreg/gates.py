@@ -15,7 +15,8 @@ application first groups the branches by cond_mask (index_branches); each
 stored key then finds the branches it meets by one lookup of key & cond_mask
 per mask.  Applying one operator to many states that store the same keys in
 the same order can be compiled once (plan_index, which shares apply_index's
-lookup) and then run as a few passes over amplitude lists (apply_plan).
+lookup) and then run on all of them at once, as a few float64 array passes
+over one row of amplitudes per state (apply_plan).
 
 CNOT with control a and target b flips bit b exactly on branches where bit a
 is 1; its transpose is the same gate with the roles swapped.  The bit
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -169,15 +169,15 @@ class ApplyPlan:
     """apply_index compiled for states that store a fixed key list, in order.
 
     ``keys`` are the image keys in the order apply_index first writes them.
-    Layer k holds every image key's k-th (source position, coeff)
-    contribution; a key with fewer contributions is padded with (number of
-    sources, 0j), a position that holds a zero amplitude.  An accumulator
-    built as 0j + x never holds -0.0, so adding the padding's 0j * 0j leaves
-    it exactly as it was.
+    Layer k holds every image key's k-th contribution: source positions and
+    coeffs' real and imaginary parts, as arrays.  A key with fewer is padded
+    with (number of sources, 0j), a position that holds a zero amplitude.
+    An accumulator built as 0.0 + x never holds -0.0, so adding the
+    padding's 0j * 0j leaves it exactly as it was.
     """
 
     keys: tuple[int, ...]
-    layers: tuple[tuple[tuple[int, ...], tuple[complex, ...]], ...]
+    layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 def plan_index(index: BranchIndex, sources: Sequence[int]) -> ApplyPlan:
@@ -189,21 +189,29 @@ def plan_index(index: BranchIndex, sources: Sequence[int]) -> ApplyPlan:
     depth = max(map(len, contributions.values()), default=0)
     pad = (len(sources), 0j)
     padded = [column + [pad] * (depth - len(column)) for column in contributions.values()]
-    layers = tuple(tuple(zip(*layer)) for layer in zip(*padded))
-    return ApplyPlan(tuple(contributions), layers)
+    layers = []
+    for layer in zip(*padded):
+        positions, coeffs = zip(*layer)
+        coeffs = np.array(coeffs, dtype=complex)
+        layers.append((np.array(positions, dtype=np.intp), coeffs.real, coeffs.imag))
+    return ApplyPlan(tuple(contributions), tuple(layers))
 
 
-def apply_plan(plan: ApplyPlan, amplitudes: Sequence[complex]) -> list[complex]:
-    """Image accumulators in ``plan.keys`` order, exact zeros not yet dropped.
+def apply_plan(plan: ApplyPlan, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary image accumulators in ``plan.keys`` order, one row per
+    row of ``re`` and ``im``, exact zeros not yet dropped.
 
-    ``amplitudes`` holds the source amplitudes in the planned order followed
-    by one 0j for the padding.  Each layer is one pass of the same
-    operations apply_index does per key: acc + amp * coeff, starting at 0j.
+    A row holds the source amplitudes in the planned order, then one 0.0
+    for the padding.  Each layer is one pass of apply_index's acc + amp *
+    coeff from 0j, the product written out as CPython computes it; numpy's
+    complex multiply may round otherwise.
     """
-    acc = [0j] * len(plan.keys)
-    for positions, coeffs in plan.layers:
-        acc = list(map(add, acc, map(mul, map(amplitudes.__getitem__, positions), coeffs)))
-    return acc
+    acc_re, acc_im = np.zeros((2, len(re), len(plan.keys)))
+    for positions, c_re, c_im in plan.layers:
+        a_re, a_im = re[:, positions], im[:, positions]
+        acc_re = acc_re + (a_re * c_re - a_im * c_im)
+        acc_im = acc_im + (a_re * c_im + a_im * c_re)
+    return acc_re, acc_im
 
 
 def apply_branches(
@@ -499,8 +507,8 @@ def circuit_from_json_obj(obj: Mapping) -> Circuit:
     each integer field is part of that value.  T factors are parsed every
     time: 0.0 == -0.0 as a key, so sharing would lose the sign of a zero
     theta.  The rank and every site must be JSON integers, and theta and the
-    coefficients JSON numbers; those, a missing field and an unknown name are
-    refused with a ValueError.
+    coefficients JSON numbers; those, a missing field, a value of another
+    JSON kind and an unknown name are refused with a ValueError.
     """
     parsed: dict[tuple, GatePlacement] = {}
     terms = []

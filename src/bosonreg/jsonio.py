@@ -93,11 +93,14 @@ def loads(text: str) -> Any:
 @contextlib.contextmanager
 def required_fields() -> Iterator[None]:
     """Within the block, a KeyError (a field missing from a parsed object) is
-    a ValueError that names the field."""
+    a ValueError that names the field, and a TypeError (a value of the wrong
+    JSON kind: a list where an object or a number belongs, say) is one too."""
     try:
         yield
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"a value of the wrong JSON kind: {exc}") from None
 
 
 def integer(value: Any, name: str) -> int:

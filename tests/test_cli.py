@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 import bosonreg
 from bosonreg import cli
 from bosonreg.cli import main, parse_complex
-from bosonreg.bosonic import PhysParams, gate_decomposition
+from bosonreg.bosonic import PhysParams, gate_decomposition, hamiltonian, momentum, position
+from bosonreg.coherent import CoherentSpec, coherent_series, evolve, expectation
 from bosonreg.gates import circuit_from_json_obj, circuit_to_json_obj
+from bosonreg.jsonio import fmt_float
 
 
 def run(capsys, *argv):
@@ -289,6 +292,31 @@ def test_evolve_at_rest(capsys):
         assert float(h) == 0.5
 
 
+@pytest.mark.parametrize(
+    "z, rank, alpha, beta, hbar, t1, steps",
+    [
+        ("1.9-2.1i", 64, 1.3, 0.8, 1.1, 7.5, 256),
+        ("1", 16, 1.0, 1.0, 1.0, 6.283185307179586, 4),  # the README sample
+    ],
+)
+def test_evolve_csv_is_the_scalar_loop(capsys, z, rank, alpha, beta, hbar, t1, steps):
+    """Every byte of the CSV is that of evolving the coherent state to each
+    time and taking each expectation value on its own, written by fmt_float."""
+    argv = [f"--z={z}", "--rank", str(rank), "--alpha", repr(alpha), "--beta", repr(beta),
+            "--hbar", repr(hbar), "--t1", repr(t1), "--steps", str(steps)]
+    code, out, err = run(capsys, "evolve", *argv)
+    params = PhysParams(alpha, beta, hbar)
+    state = coherent_series(CoherentSpec(parse_complex(z), params, rank)).state
+    ops = (position(params, rank), momentum(params, rank), hamiltonian(params, rank))
+    lines = ["t,x,p,h"]
+    for t in np.linspace(0.0, t1, steps):
+        snapshot = evolve(state, float(t), params)
+        values = (t, *(expectation(op, snapshot).real for op in ops))
+        lines.append(",".join(map(fmt_float, values)))
+    assert (code, err) == (0, "")
+    assert out == "\n".join(lines) + "\n"
+
+
 def test_evolve_periodicity(capsys):
     period = 2 * math.pi
     code, out, _ = run(
@@ -525,6 +553,17 @@ def test_out_writes_file(tmp_path, capsys):
     assert out == ""
     obj = json.loads(target.read_text())
     assert obj["amplitudes"][0][0] == 2
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, where):
+    """A path that cannot be written exits 2 with one line naming it, not a
+    traceback with the exit code of a failed verification."""
+    target = tmp_path / "missing" / "x" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, "map", "1", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"bosonreg: error: cannot write --out {str(target)!r}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_outputs_are_deterministic(capsys):

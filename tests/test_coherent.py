@@ -324,6 +324,30 @@ def test_tabulate_walks_the_smaller_side_in_its_order():
     assert tabulate(state, ops, times, PARAMS) == _expectation_loop(state, ops, times, PARAMS)
 
 
+def test_tabulate_adds_left_to_right_over_many_keys():
+    """48 random amplitudes: a pairwise sum over a contiguous axis, or a BLAS
+    product, would round otherwise than inner_product's left-to-right sum."""
+    rng = np.random.default_rng(0)
+    rank = 48
+    coeffs = rng.uniform(-2, 2, rank) + 1j * rng.uniform(-2, 2, rank)
+    state = RegisterState(rank, {1 << n: complex(c) for n, c in enumerate(coeffs)})
+    ops = [position(PARAMS, rank), momentum(PARAMS, rank), hamiltonian(PARAMS, rank)]
+    times = list(rng.uniform(-5, 5, 8))
+    got = tabulate(state, ops, times, PARAMS)
+    for column, expected in zip(got, _expectation_loop(state, ops, times, PARAMS)):
+        _assert_same_values(column, expected)
+
+
+def test_tabulate_skips_a_key_the_image_does_not_store():
+    """P0 - P0 sends an infinite amplitude to inf - inf, a NaN the image does
+    not store; inner_product skips that key rather than adding its NaN."""
+    state = RegisterState(4, {1: complex(math.inf, 0), 2: 1 + 0j})
+    ops = [bosonic_projector(0, 4) - bosonic_projector(0, 4) + bosonic_projector(1, 4)]
+    times = [0.5, 1.0]
+    assert tabulate(state, ops, times, PARAMS) == [[0.0, 0.0]]
+    assert _expectation_loop(state, ops, times, PARAMS) == [[0.0, 0.0]]
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_tabulate_matches_expectation_for_any_operator(data):

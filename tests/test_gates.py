@@ -457,6 +457,27 @@ def test_parse_refuses_missing_fields_and_unknown_names():
             circuit_from_json_obj(obj)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rank": 3, "terms": [{"coeff": {"re": 1, "im": 0},
+                               "factors": [{"type": "local", "site": [0], "op": "P1"}]}]},
+        {"rank": 3, "terms": [{"coeff": {"re": 1, "im": 0},
+                               "factors": [{"type": "cnot", "a": 0, "b": [1]}]}]},
+        {"rank": 3, "terms": [{"coeff": {"re": 1, "im": 0}, "factors": [["local", 0, "P1"]]}]},
+        {"rank": 3, "terms": [1]},
+        {"rank": 3, "terms": [{"coeff": [1, 0], "factors": []}]},
+        {"rank": 3, "terms": {"a": 1}},
+    ],
+    ids=["list site", "list cnot site", "list factor", "int term", "list coeff", "terms object"],
+)
+def test_parse_refuses_a_value_of_the_wrong_json_kind(obj):
+    """A list, int or object where the layout has another JSON kind is a
+    one-line ValueError, not the TypeError of indexing or hashing it."""
+    with pytest.raises(ValueError, match="^a value of the wrong JSON kind: [^\n]+$"):
+        circuit_from_json_obj(obj)
+
+
 @pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
 def test_parse_refuses_non_number_theta_and_coefficients(value):
     """theta, re and im must be JSON numbers: a bool or string is not coerced."""
@@ -682,30 +703,55 @@ def test_indexed_apply_matches_branch_scan(data):
     assert list(image.amplitudes) == list(expected)
 
 
+def test_python_complex_product_is_unfused():
+    """a * b on Python complexes is (ar br - ai bi, ar bi + ai br) with every
+    product and sum rounded on its own, the formula apply_plan and tabulate
+    evaluate with float64 ufuncs to match evolve + expectation bit for bit.
+    That holds where CPython's C compiler fuses no multiply-add into an FMA:
+    GCC builds with -std=c11, and x86-64 builds without -mfma."""
+    rng = np.random.default_rng(2024)
+    scales = 10.0 ** rng.integers(-8, 9, (4, 20000))
+    a_re, a_im, b_re, b_im = rng.uniform(-2, 2, (4, 20000)) * scales
+    products = [complex(*a) * complex(*b) for a, b in zip(zip(a_re, a_im), zip(b_re, b_im))]
+    assert [p.real for p in products] == (a_re * b_re - a_im * b_im).tolist()
+    assert [p.imag for p in products] == (a_re * b_im + a_im * b_re).tolist()
+
+
 _SIGNED_WEIGHTS = _WEIGHTS + (complex(1, -0.0), complex(-0.0, 1), complex(-0.0, -0.0))
 
 
 @given(data=st.data())
 def test_plan_reproduces_indexed_apply(data):
-    """A plan over the state's key order gives apply_index's image: the same
-    dict, key order and zero signs, on mixed-mask lists whose keys gather
-    different numbers of contributions."""
+    """A plan over a key order gives apply_index's image for each row of
+    amplitudes on those keys: the same dict, key order and zero signs, on
+    mixed-mask lists whose keys gather different numbers of contributions,
+    whether the row runs alone or among several."""
     rank = data.draw(st.integers(3, 10))
     branches = []
     for kind in data.draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6)):
         weight = data.draw(st.sampled_from(_SIGNED_WEIGHTS))
         branches += [(m, v, f, weight * c) for m, v, f, c in _draw_piece(data, kind, rank)]
-    keys = st.one_of(
-        st.integers(0, rank - 1).map(lambda n: 1 << n), st.integers(0, (1 << rank) - 1)
-    )
-    state = RegisterState(rank, data.draw(st.dictionaries(keys, _AMPS, min_size=1, max_size=8)))
+    keys = data.draw(st.lists(
+        st.one_of(st.integers(0, rank - 1).map(lambda n: 1 << n), st.integers(0, (1 << rank) - 1)),
+        min_size=1, max_size=8, unique=True,
+    ))
+    row = st.lists(_AMPS.filter(bool), min_size=len(keys), max_size=len(keys))
+    rows = data.draw(st.lists(row, min_size=1, max_size=4))
     index = index_branches(branches)
-    plan = plan_index(index, list(state.amplitudes))
-    image = apply_plan(plan, [*state.amplitudes.values(), 0j])
-    got = {key: value for key, value in zip(plan.keys, image) if abs(value) > 0.0}
-    want = apply_index(rank, index, state).amplitudes
-    assert got == want
-    assert list(got) == list(want)
-    for key, value in got.items():
-        assert math.copysign(1, value.real) == math.copysign(1, want[key].real)
-        assert math.copysign(1, value.imag) == math.copysign(1, want[key].imag)
+    plan = plan_index(index, keys)
+
+    def run(rows):
+        amps = np.array([[*row, 0j] for row in rows])
+        image_re, image_im = apply_plan(plan, amps.real, amps.imag)
+        return [list(map(complex, r, i)) for r, i in zip(image_re.tolist(), image_im.tolist())]
+
+    for amplitudes, alone, among in zip(rows, (run([r])[0] for r in rows), run(rows)):
+        state = RegisterState(rank, dict(zip(keys, amplitudes)))
+        want = apply_index(rank, index, state).amplitudes
+        for image in (alone, among):
+            got = {key: value for key, value in zip(plan.keys, image) if abs(value) > 0.0}
+            assert got == want
+            assert list(got) == list(want)
+            for key, value in got.items():
+                assert math.copysign(1, value.real) == math.copysign(1, want[key].real)
+                assert math.copysign(1, value.imag) == math.copysign(1, want[key].imag)

@@ -195,6 +195,8 @@ def test_json_roundtrip_is_exact(amplitudes):
         ({"rank": 2, "amplitudes": [[1, 1, "0"]]}, "im must be a number, got '0'"),
         ({"rank": 2}, "missing field 'amplitudes'"),
         ({"amplitudes": []}, "missing field 'rank'"),
+        ({"rank": 2, "amplitudes": [1]},
+         "a value of the wrong JSON kind: cannot unpack non-iterable int object"),
     ],
 )
 def test_json_parse_refuses_what_it_would_truncate_or_coerce(obj, message):
