@@ -112,14 +112,22 @@ class PhysParams:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite")
             object.__setattr__(self, name, value)
-        # eps must be a normal float, and the largest level weight sqrt(2 R eps)
-        # must stay finite at every rank
-        low, high = sys.float_info.min, sys.float_info.max / (2.0 * MAX_RANK)
+        # eps must be a normal float.  eps, the squared position and momentum
+        # scales alpha hbar / beta and beta hbar / alpha, and 1 / omega stay
+        # below 2**500, so every sum of squares verify takes and 2 pi / omega are finite
+        low, high = sys.float_info.min, 2.0**500
         if not low <= self.epsilon <= high:
             raise EnergyScaleError(
                 f"epsilon = alpha * beta * hbar = {self.epsilon:.3g}"
                 f" is outside [{low:.3g}, {high:.3g}]"
             )
+        for name, value in (
+            ("alpha * hbar / beta", self.alpha * self.hbar / self.beta),
+            ("beta * hbar / alpha", self.beta * self.hbar / self.alpha),
+            ("1 / (alpha * beta)", 1.0 / self.omega),
+        ):
+            if not value <= high:
+                raise EnergyScaleError(f"{name} = {value:.3g} exceeds {high:.3g}")
 
     @property
     def omega(self) -> float:
@@ -274,26 +282,26 @@ def is_power_of_two_key(key: int) -> bool:
     return key > 0 and key & (key - 1) == 0
 
 
-def is_bosonic_state(state: RegisterState, tol: float = 1e-12) -> bool:
-    """True when the bosonic filter leaves the state unchanged up to tol.
+def is_bosonic_state(state: RegisterState) -> bool:
+    """True when the bosonic filter leaves the state unchanged, to 1e-12 of its norm.
 
     The zero vector carries no usable answer and is rejected.
     """
     if state.is_zero:
         raise ZeroVectorError("the zero vector is neither bosonic nor transbosonic")
     residual = bosonic_identity(state.rank).apply(state) - state
-    return residual.norm() <= tol * state.norm()
+    return residual.norm() <= 1e-12 * state.norm()
 
 
-def is_bosonic_operator(op: RegisterOperator, tol: float = 1e-10) -> bool:
-    """True when the operator commutes with the bosonic filter (dense check)."""
+def is_bosonic_operator(op: RegisterOperator) -> bool:
+    """True when the operator commutes with the bosonic filter to 1e-10 (dense check)."""
     if op.rank > DENSE_MAX_RANK:
         raise RankTooLargeError(
             f"commutant check is dense and needs rank <= {DENSE_MAX_RANK}"
         )
     a = op.to_matrix()
     f = bosonic_identity(op.rank).to_matrix()
-    return float(np.max(np.abs(a @ f - f @ a))) <= tol
+    return float(np.max(np.abs(a @ f - f @ a))) <= 1e-10
 
 
 def b_lower(n: int, rank: int) -> RegisterOperator:
@@ -437,7 +445,6 @@ class BosonicSubspaceVector:
 
     coeffs: np.ndarray
     rank: int
-    params: PhysParams | None = None
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -453,12 +460,12 @@ def embed(vec: BosonicSubspaceVector) -> RegisterState:
     )
 
 
-def project(state: RegisterState, params: PhysParams | None = None) -> BosonicSubspaceVector:
+def project(state: RegisterState) -> BosonicSubspaceVector:
     """Read off the power-of-two amplitudes, discarding the transbosonic rest."""
     coeffs = np.array(
         [state.amplitude(1 << n) for n in range(state.rank)], dtype=complex
     )
-    return BosonicSubspaceVector(coeffs, state.rank, params)
+    return BosonicSubspaceVector(coeffs, state.rank)
 
 
 def check_transbosonic(state: RegisterState) -> None:

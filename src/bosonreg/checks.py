@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -363,15 +363,14 @@ def _oracle_intertwining(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
         ("momentum", kit.momentum(rank), oracle.p),
     ]
     parts = [
-        _Part(label, fock.intertwine_check(op, matrix).max_deviation, 1e-12)
+        _Part(label, fock.intertwine_check(op, matrix), 1e-12)
         for label, op, matrix in op_pairs
     ]
     circuit_rank = min(6, cfg.rank)
     oracle6 = fock.build_fock(cfg.params, circuit_rank)
     for kind, matrix in (("position", oracle6.x), ("momentum", oracle6.p)):
         circuit_op = bosonic.circuit_as_operator(kit.full_decomposition(kind, circuit_rank))
-        report = fock.intertwine_check(circuit_op, matrix, 1e-10)
-        parts.append(_Part(f"{kind}-circuit", report.max_deviation, 1e-10))
+        parts.append(_Part(f"{kind}-circuit", fock.intertwine_check(circuit_op, matrix), 1e-10))
     return parts
 
 
@@ -475,37 +474,14 @@ def _coherent_states(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
     return parts
 
 
-def _start_dense_exponential(cfg: VerifyConfig) -> Callable[[], _Part]:
-    """Exponentiate the last _Z_SET generator of _coherent_states densely on a
-    worker thread, as an end-to-end data point.  The generator is handed over
-    with no reference kept; the worker runs the numpy-only steps of
-    expm_antihermitian, so it enters no public function while the criteria
-    run.  The returned function joins it, raises what it raised, and measures
-    its R x R block against the exponential of the register block."""
-    spec = coherent.CoherentSpec(_Z_SET[-1], cfg.params, min(10, cfg.rank))
-    powers = [1 << n for n in range(spec.rank)]
-    handed = [gates.circuit_to_matrix(Toolkit(cfg.params).full_displacement_gateform(spec))]
-    outcome: list = []
-
-    def work() -> None:
-        try:
-            u = coherent._expm_i(coherent._hermitian_of(handed.pop(), 1e-10))
-            outcome.append(u[np.ix_(powers, powers)])
-        except BaseException as exc:  # re-raised by finish() on the calling thread
-            outcome.append(exc)
-
-    worker = threading.Thread(target=work, name="dense-exponential")
-    worker.start()
-
-    def finish() -> _Part:
-        worker.join()
-        block = outcome.pop()
-        if isinstance(block, BaseException):
-            raise block
-        reference = coherent.expm_antihermitian(coherent.displacement_generator_block(spec))
-        return _Part("dense-exponential", _max_abs(block - reference), 1e-8)
-
-    return finish
+def _dense_block(handed: list[np.ndarray], powers: list[int]) -> np.ndarray:
+    """The ``powers`` block of the dense exponential of the generator in
+    ``handed``, as an end-to-end data point.  It runs on a worker thread and
+    pops the generator, so no other reference holds it while eigh runs; it
+    calls only the numpy-only steps of expm_antihermitian, so it enters no
+    public function."""
+    u = coherent._expm_i(coherent._hermitian_of(handed.pop()))
+    return u[np.ix_(powers, powers)]
 
 
 def _coherent_dynamics(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
@@ -638,22 +614,25 @@ def run_criteria(cfg: VerifyConfig, mutation: str = "none") -> list[CriterionRes
     """Run the named criteria; unmutated runs append the sensitivity check.
 
     An unmutated run also takes one dense 2**R exponential on a worker thread
-    while the criteria run, and adds it as the last part of coherent-states;
-    the time it took to start and to wait for counts in that criterion's seconds.
-    mutation-sensitivity judges coherent-states without it, as every
-    faulted run measures it.
+    (_dense_block) while the criteria run, and adds its deviation as the last
+    part of coherent-states; the time it took to start and to wait for counts
+    in that criterion's seconds.  mutation-sensitivity judges coherent-states
+    without it, as every faulted run measures it.
     """
     if mutation != "none":
         return [result for result, _ in _run_base(cfg, mutation)]
     started = time.perf_counter()
-    finish = _start_dense_exponential(cfg)
-    lead = time.perf_counter() - started
-    try:
+    spec = coherent.CoherentSpec(_Z_SET[-1], cfg.params, min(10, cfg.rank))
+    powers = [1 << n for n in range(spec.rank)]
+    handed = [gates.circuit_to_matrix(Toolkit(cfg.params).full_displacement_gateform(spec))]
+    with ThreadPoolExecutor(1) as pool:
+        block = pool.submit(_dense_block, handed, powers)
+        lead = time.perf_counter() - started
         runs = _run_base(cfg, mutation)
         sensitivity = _mutation_sensitivity(cfg, runs)
-    finally:
         started = time.perf_counter()
-        dense = finish()
+        reference = coherent.expm_antihermitian(coherent.displacement_generator_block(spec))
+        dense = _Part("dense-exponential", _max_abs(block.result() - reference), 1e-8)
     waited = lead + time.perf_counter() - started
     results = [result for result, _ in runs]
     at = CRITERION_NAMES.index("coherent-states")

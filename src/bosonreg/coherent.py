@@ -178,24 +178,24 @@ def number_distribution(state: RegisterState) -> np.ndarray:
     )
 
 
-def expm_antihermitian(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def expm_antihermitian(g: np.ndarray) -> np.ndarray:
     """Exponential of an anti-Hermitian matrix through its eigensystem.
 
     g = i h with h Hermitian, so exp(g) = U diag(e^{i w}) U+ exactly; no
     scaling-and-squaring error model to worry about.
     """
-    return _expm_i(_hermitian_of(g, tol))
+    return _expm_i(_hermitian_of(g))
 
 
 # The two steps of expm_antihermitian call numpy only, so a worker thread
 # can run them without entering any public function of the package.
 
 
-def _hermitian_of(g: np.ndarray, tol: float) -> np.ndarray:
-    """h = g / i, once g is checked to be anti-Hermitian to within tol."""
+def _hermitian_of(g: np.ndarray) -> np.ndarray:
+    """h = g / i, once g is checked to be anti-Hermitian to 1e-10 relative to 1 + max|g|."""
     g = np.asarray(g, dtype=complex)
     scale = 1.0 + float(np.max(np.abs(g))) if g.size else 1.0
-    if float(np.max(np.abs(g + g.conj().T))) > tol * scale:
+    if float(np.max(np.abs(g + g.conj().T))) > 1e-10 * scale:
         raise ValueError("generator is not anti-Hermitian")
     return g / 1j
 
@@ -216,19 +216,16 @@ def displacement_generator_block(spec: CoherentSpec) -> np.ndarray:
     )
 
 
-def displacement_apply(
-    spec: CoherentSpec, state: RegisterState, tol: float = 1e-12
-) -> RegisterState:
+def displacement_apply(spec: CoherentSpec, state: RegisterState) -> RegisterState:
     """Displace a bosonic state: project, exponentiate the block, embed back.
 
     The exponential only ever sees the R x R block, never the 2**R space.
     Transbosonic input is refused rather than silently projected.
     """
-    if not is_bosonic_state(state, tol):
+    if not is_bosonic_state(state):
         raise NotBosonicError("displacement is defined on the bosonic subspace only")
     u = expm_antihermitian(displacement_generator_block(spec))
-    coeffs = u @ project(state, spec.params).coeffs
-    return embed(BosonicSubspaceVector(coeffs, spec.rank, spec.params))
+    return embed(BosonicSubspaceVector(u @ project(state).coeffs, spec.rank))
 
 
 def displacement_generator_gateform(spec: CoherentSpec) -> CircuitPair:
@@ -292,7 +289,7 @@ def evolve(state: RegisterState, t: float, params: PhysParams) -> RegisterState:
         key: amp * cmath.exp(-1j * (key.bit_length() - 0.5) * rate)
         for key, amp in state.items()
     }
-    return RegisterState._trusted(state.rank, out)
+    return RegisterState(state.rank, out)
 
 
 def _running_sum(terms: np.ndarray) -> np.ndarray:

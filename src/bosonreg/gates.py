@@ -161,7 +161,7 @@ def apply_index(rank: int, index: BranchIndex, state: RegisterState) -> Register
             for _, flip, coeff in hits:
                 out_key = key ^ flip
                 acc[out_key] = acc.get(out_key, 0j) + amp * coeff
-    return RegisterState._trusted(rank, acc)
+    return RegisterState(rank, acc)
 
 
 @dataclass(frozen=True)

@@ -89,14 +89,6 @@ class LogicFunction:
     def rank(self) -> int:
         return len(self.bits)
 
-    @classmethod
-    def all_yes(cls, rank: int) -> "LogicFunction":
-        return cls((1,) * _check_rank(rank))
-
-    @classmethod
-    def all_no(cls, rank: int) -> "LogicFunction":
-        return cls((0,) * _check_rank(rank))
-
 
 class GateKind(Enum):
     AND = "and"
@@ -248,17 +240,6 @@ class RegisterState:
         self._amp = amp
 
     @classmethod
-    def _trusted(cls, rank: int, amplitudes: dict[int, complex]) -> "RegisterState":
-        """Internal results, whose keys are in range and values already complex.
-
-        Skips the per-key checks of __init__ but drops exact zeros as it does.
-        """
-        state = cls.__new__(cls)
-        state.rank = rank
-        state._amp = {key: value for key, value in amplitudes.items() if abs(value) > 0.0}
-        return state
-
-    @classmethod
     def basis(cls, rank: int, key: int) -> "RegisterState":
         return cls(rank, {key: 1.0 + 0j})
 
@@ -329,13 +310,11 @@ class RegisterState:
         out = dict(self._amp)
         for key, value in other._amp.items():
             out[key] = out.get(key, 0j) + value
-        return RegisterState._trusted(self.rank, out)
+        return RegisterState(self.rank, out)
 
     def scale(self, factor: complex) -> "RegisterState":
         factor = complex(factor)
-        return RegisterState._trusted(
-            self.rank, {k: factor * v for k, v in self._amp.items()}
-        )
+        return RegisterState(self.rank, {k: factor * v for k, v in self._amp.items()})
 
     def __add__(self, other: "RegisterState") -> "RegisterState":
         return self.add(other)
@@ -407,8 +386,6 @@ def rank2_coefficients(state: RegisterState) -> tuple[complex, complex, complex,
     return a(0b00), a(0b10), a(0b01), a(0b11)
 
 
-def separability_check(
-    c00: complex, c01: complex, c10: complex, c11: complex, tol: float = 1e-12
-) -> bool:
-    """True when a rank-2 amplitude table factorizes into a site product."""
-    return abs(c00 * c11 - c10 * c01) <= tol
+def separability_check(c00: complex, c01: complex, c10: complex, c11: complex) -> bool:
+    """True when a rank-2 amplitude table factorizes into a site product, to 1e-12."""
+    return abs(c00 * c11 - c10 * c01) <= 1e-12

@@ -19,6 +19,7 @@ import bosonreg
 from bosonreg import cli
 from bosonreg.cli import main, parse_complex
 from bosonreg.bosonic import PhysParams, gate_decomposition, hamiltonian, momentum, position
+from bosonreg.checks import MUTATIONS
 from bosonreg.coherent import CoherentSpec, coherent_series, evolve, expectation
 from bosonreg.gates import circuit_from_json_obj, circuit_to_json_obj
 from bosonreg.jsonio import fmt_float
@@ -153,6 +154,33 @@ def test_state_number_energy_quantum_out_of_range(capsys):
         )
         assert (code, out) == (2, "")
         assert err.startswith("bosonreg: error: epsilon") and err.count("\n") == 1
+
+
+_TINY_ALPHA = ["--alpha", "1e-300", "--beta", "1e300", "--hbar", "1e300"]
+_TINY_BETA = ["--alpha", "1e300", "--beta", "1e-300", "--hbar", "1e300"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # epsilon 1e300: the x or p weight overflows, and verify squares
+        # amplitudes near 1e301
+        ["evolve", "--z", "0.5+0.3i", "--t1", "3", "--steps", "3", *_TINY_ALPHA],
+        ["evolve", "--z", "0.5+0.3i", "--t1", "3", "--steps", "3", *_TINY_BETA],
+        ["decompose", "momentum", "--rank", "4", *_TINY_ALPHA],
+        ["decompose", "position", "--rank", "4", *_TINY_BETA],
+        ["verify", "--rank", "8", *_TINY_ALPHA],
+        # epsilon 1, but the momentum weight sqrt(2 eps) / (2 alpha) overflows
+        ["decompose", "momentum", "--rank", "4", "--alpha", "1e-320", "--beta", "1e300",
+         "--hbar", "1e20"],
+        # verify's period 2 pi / omega overflows
+        ["verify", "--rank", "3", "--alpha", "1e-160", "--beta", "1e-150", "--hbar", "1e10"],
+    ],
+)
+def test_scales_outside_the_domain_are_refused_in_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("bosonreg: error: ") and err.count("\n") == 1
 
 
 def test_state_coherent(capsys):
@@ -628,7 +656,7 @@ def test_verify_mutation_fails_what_sensitivity_lists(capsys, sensitivity_map, m
     assert failed == sensitivity_map[mutation]
 
 
-_SCALE = st.floats(-12.0, 12.0).map(lambda e: repr(10.0**e))
+_SCALE = st.floats(-300.0, 300.0).map(lambda e: repr(10.0**e))
 _COMPLEX = st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)).map(
     lambda z: f"{z[0]!r}{z[1]:+.17g}i"
 )
@@ -659,10 +687,24 @@ def _cli_argv(draw):
 @settings(max_examples=150, deadline=None)
 @given(_cli_argv())
 def test_cli_domain_answers_or_refuses_in_one_line(argv):
-    """Across rank 2..64 and scales 1e-12..1e12: exit 0, or exit 2 with one stderr line."""
+    """Across rank 2..64 and scales 1e-300..1e300: exit 0, or exit 2 with one stderr line."""
     code, _, err = _quiet_main(*argv)
     assert "Traceback" not in err
     assert code in (0, 2)
+    if code == 2:
+        assert err.startswith("bosonreg: error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 4), _SCALE, _SCALE, _SCALE, st.sampled_from(MUTATIONS))
+def test_verify_answers_fails_or_refuses_in_one_line(rank, alpha, beta, hbar, mutation):
+    """At small ranks and scales 1e-300..1e300 verify exits 0, 1 or 2, and
+    writes to stderr only the one line of a refusal; it never raises."""
+    code, _, err = _quiet_main("verify", "--rank", str(rank), "--alpha", alpha,
+                               "--beta", beta, "--hbar", hbar, "--mutate", mutation)
+    assert code in (0, 1, 2)
     if code == 2:
         assert err.startswith("bosonreg: error: ") and err.count("\n") == 1
     else:

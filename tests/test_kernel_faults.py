@@ -1,0 +1,171 @@
+"""Kernel faults: `verify` catches implementation bugs, not only the Toolkit's
+convention faults.
+
+Each case replaces one kernel of `gates`, `bosonic` or `coherent` with a
+faulty version, in every module that imports the name, runs the full suite
+through `run_criteria` (the dense worker and mutation-sensitivity included)
+and pins the exact set of criteria that fail.  A change in coverage, either
+way, shows up here.
+
+`coherent.evolve` and `coherent.expectation` get no fault: no command and no
+criterion calls them.  They stay as the tests' bit-for-bit reference for
+`tabulate`.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import bosonreg
+from bosonreg import bosonic, checks, coherent, fock, gates
+from bosonreg.checks import VerifyConfig, run_criteria
+from bosonreg.qubit import SiteOp
+from bosonreg.register import RegisterState
+
+_MODULES = (bosonreg, bosonic, checks, coherent, fock, gates)
+
+
+def _faulty_compose(*, drop_contradictions: bool, read_through_flip: bool):
+    """gates.compose, optionally without its contradiction test or without
+    reading the left condition back through the right factor's flip."""
+
+    def compose(left, right):
+        left = tuple(left)
+        out = []
+        for mask_r, value_r, flip_r, coeff_r in right:
+            seen = flip_r if read_through_flip else 0
+            for mask_l, value_l, flip_l, coeff_l in left:
+                if drop_contradictions and (value_r ^ value_l ^ seen) & mask_r & mask_l:
+                    continue
+                out.append((
+                    mask_r | mask_l,
+                    value_r | ((value_l ^ seen) & mask_l),
+                    flip_r ^ flip_l,
+                    coeff_r * coeff_l,
+                ))
+        return tuple(out)
+
+    return compose
+
+
+def _cnot_flipping_control(placement_branches):
+    def faulty(p):
+        if p.kind == "cnot":
+            a = 1 << p.a
+            return ((a, 0, 0, 1 + 0j), (a, a, a, 1 + 0j))
+        return placement_branches(p)
+
+    return faulty
+
+
+def _theta_sign_flipped(placement_branches):
+    def faulty(p):
+        if p.kind == "T":
+            return placement_branches(gates.transpose_theta(p.a, p.b, -p.theta))
+        return placement_branches(p)
+
+    return faulty
+
+
+def _series_without_factorial(coherent_series):
+    def faulty(spec):
+        series = coherent_series(spec)
+        amplitudes = {
+            key: amp * math.sqrt(math.factorial(key.bit_length() - 1))
+            for key, amp in series.state.items()
+        }
+        return coherent.CoherentState(RegisterState(spec.rank, amplitudes), series.tail_mass)
+
+    return faulty
+
+
+def _expm_i_transposed(h):
+    w, u = np.linalg.eigh(h)
+    return (u * np.exp(1j * w)) @ u.T
+
+
+# name -> (module, attribute, the faulty attribute from the original one)
+FAULTS = {
+    "compose-keeps-contradictions": (
+        gates, "compose",
+        lambda _: _faulty_compose(drop_contradictions=False, read_through_flip=True),
+    ),
+    "compose-ignores-right-flip": (
+        gates, "compose",
+        lambda _: _faulty_compose(drop_contradictions=True, read_through_flip=False),
+    ),
+    "cnot-flips-control": (gates, "_placement_branches", _cnot_flipping_control),
+    "transpose-theta-sign": (gates, "_placement_branches", _theta_sign_flipped),
+    "level-weight-n-plus-2": (
+        bosonic, "_level_weight",
+        lambda _: lambda n, params: math.sqrt((n + 2) * 2.0 * params.epsilon),
+    ),
+    "tabulate-time-reversed": (
+        coherent, "tabulate",
+        lambda tabulate: lambda state, ops, times, params: tabulate(
+            state, ops, list(times)[::-1], params
+        ),
+    ),
+    "apply-plan-drops-last-layer": (
+        gates, "apply_plan",
+        lambda apply_plan: lambda plan, re, im: apply_plan(
+            gates.ApplyPlan(plan.keys, plan.layers[:-1]), re, im
+        ),
+    ),
+    "series-without-factorial": (coherent, "coherent_series", _series_without_factorial),
+    "expm-uses-transpose": (coherent, "_expm_i", lambda _: _expm_i_transposed),
+}
+
+FAILING = {
+    "compose-keeps-contradictions": {"bosonic-filter", "hop-relations"},
+    "compose-ignores-right-flip": {"hop-relations"},
+    "cnot-flips-control": {"gate-identities", "phase-covariance"},
+    "transpose-theta-sign": {
+        "gate-identities", "oracle-intertwining", "coherent-states", "mutation-sensitivity",
+    },
+    "level-weight-n-plus-2": {
+        "oracle-intertwining", "canonical-commutators", "coherent-states", "coherent-dynamics",
+    },
+    "tabulate-time-reversed": {"coherent-dynamics"},
+    "apply-plan-drops-last-layer": {"coherent-dynamics"},
+    "series-without-factorial": {"coherent-states", "coherent-dynamics"},
+    # verify's blind spot: both sides of gateform-exponential and
+    # dense-exponential share the exponential, and series-vs-displacement reads
+    # only the vacuum column, which this fault keeps
+    "expm-uses-transpose": {"coherent-states"},
+}
+
+_BLIND = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="CHANGES.md FOUND: verify misses a coherent._expm_i that returns U diag U^T",
+)
+
+
+def _inject(monkeypatch, module, name, make_faulty):
+    original = getattr(module, name)
+    faulty = make_faulty(original)
+    for importer in _MODULES:
+        if getattr(importer, name, None) is original:
+            monkeypatch.setattr(importer, name, faulty)
+
+
+def test_the_compose_rebuild_is_compose_when_unfaulted():
+    """The faulty composes differ from gates.compose only in the switch they turn off."""
+    hops = bosonic.ladder("lower", bosonic.PhysParams(), 4).branches
+    guards = gates.site_branches(1, SiteOp.P1) + gates.site_branches(2, SiteOp.A)
+    rebuilt = _faulty_compose(drop_contradictions=True, read_through_flip=True)
+    for left, right in ((hops, hops), (guards, hops), (hops, guards)):
+        assert rebuilt(left, right) == gates.compose(left, right)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [pytest.param(name, marks=_BLIND) if name == "expm-uses-transpose" else name
+     for name in FAULTS],
+)
+def test_kernel_fault_fails_pinned_criteria(monkeypatch, fault):
+    _inject(monkeypatch, *FAULTS[fault])
+    failed = {result.name for result in run_criteria(VerifyConfig()) if not result.passed}
+    assert failed == FAILING[fault]

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bosonreg.bosonic import PhysParams, gate_decomposition, ladder
+from bosonreg.coherent import CoherentSpec, coherent_series, evolve
 from bosonreg.errors import (
     NotFiniteCountableError,
     RankMismatchError,
     ZeroVectorError,
 )
+from bosonreg.gates import apply_circuit
 from bosonreg.register import (
     BasisIndex,
     EventuallyPeriodicSequence,
@@ -242,3 +245,31 @@ def test_norm_sums_left_to_right():
     # the list tells a compensated sum from a left-to-right one
     assert math.sqrt(math.fsum(squares)) != math.sqrt(total)
     assert RegisterState(11, amplitudes).norm() == float(np.sqrt(total))
+
+
+def test_every_state_is_built_by_init(monkeypatch):
+    """Sparse application, circuits, arithmetic and evolution each return one
+    new state, built by __init__, so a wrapper of __init__ (such as the layer
+    tracer's states_built counter) counts every state."""
+    built = []
+    init = RegisterState.__init__
+
+    def counting_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    params = PhysParams()
+    state = coherent_series(CoherentSpec(0.5 + 0.2j, params, 6)).state
+    lower = ladder("lower", params, 6)
+    circuit = gate_decomposition("position", params, 6).full
+    monkeypatch.setattr(RegisterState, "__init__", counting_init)
+    for step in (
+        lambda: lower.apply(state),
+        lambda: apply_circuit(state, circuit),
+        lambda: state.add(state),
+        lambda: state.scale(2j),
+        lambda: evolve(state, 0.3, params),
+    ):
+        before = len(built)
+        result = step()
+        assert len(built) == before + 1 and built[-1] is result
