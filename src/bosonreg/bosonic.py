@@ -376,15 +376,14 @@ def momentum(
     return (up - down).scale(1j / (2.0 * params.alpha))
 
 
-def decomposition_terms(
-    rank: int, weights: Sequence[complex], theta: float
-) -> tuple[tuple[CircuitTerm, ...], tuple[CircuitTerm, ...]]:
-    """Shared shape of the observable and displacement-generator circuits.
+def decomposition_terms(rank: int, weights: Sequence[complex], theta: float) -> CircuitPair:
+    """The one builder of the observable and displacement-generator circuits.
 
     For each adjacent pair (n, n+1) with weight w_n the full form contributes
     w_n {T(n, n+1, theta) - P0 P0 - P1 P1} conjugated by empty projectors on
-    all other sites; the reduced form keeps only the T part.  The 2R
-    projector placements are built once and shared by every term.
+    all other sites; the reduced form keeps only the T part (no weights, no
+    terms).  theta enters only here: verify's theta-sign fault passes -theta.
+    The 2R projector placements are built once and shared by every term.
     """
     p0 = [local(j, SiteOp.P0) for j in range(rank)]
     p1 = [local(j, SiteOp.P1) for j in range(rank)]
@@ -399,7 +398,18 @@ def decomposition_terms(
         full.append(CircuitTerm(-w, p0_factors))
         full.append(CircuitTerm(-w, p1_factors))
         reduced.append(CircuitTerm(w, t_factors))
-    return tuple(full), tuple(reduced)
+    return CircuitPair(Circuit._trusted(rank, tuple(full)), Circuit._trusted(rank, tuple(reduced)))
+
+
+def _observable_weights(kind: str, params: PhysParams, rank: int) -> tuple[list[complex], float]:
+    """The weights and theta of position (theta = 0) or momentum (theta = pi/2)."""
+    if kind == "position":
+        theta, prefactor = 0.0, 1.0 / (2.0 * params.beta)
+    elif kind == "momentum":
+        theta, prefactor = math.pi / 2.0, 1.0 / (2.0 * params.alpha)
+    else:
+        raise ValueError("kind must be 'position' or 'momentum'")
+    return [prefactor * _level_weight(n, params) + 0j for n in range(rank - 1)], theta
 
 
 def gate_decomposition(kind: str, params: PhysParams, rank: int) -> CircuitPair:
@@ -408,15 +418,7 @@ def gate_decomposition(kind: str, params: PhysParams, rank: int) -> CircuitPair:
     The full circuit reproduces the operator on every state; the reduced one
     (T terms only) matches it on bosonic states but not off the subspace.
     """
-    if kind == "position":
-        theta, prefactor = 0.0, 1.0 / (2.0 * params.beta)
-    elif kind == "momentum":
-        theta, prefactor = math.pi / 2.0, 1.0 / (2.0 * params.alpha)
-    else:
-        raise ValueError("kind must be 'position' or 'momentum'")
-    weights = [prefactor * _level_weight(n, params) + 0j for n in range(rank - 1)]
-    full, reduced = decomposition_terms(rank, weights, theta)
-    return CircuitPair(Circuit._trusted(rank, full), Circuit._trusted(rank, reduced))
+    return decomposition_terms(rank, *_observable_weights(kind, params, rank))
 
 
 def number_state(n: int, params: PhysParams, rank: int) -> RegisterState:

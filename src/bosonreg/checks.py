@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -55,6 +54,8 @@ class VerifyConfig:
     def __post_init__(self) -> None:
         if not 2 <= self.rank <= 64:
             raise ValueError(f"rank must be in [2, 64], got {self.rank}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     @property
     def params(self) -> PhysParams:
@@ -157,24 +158,13 @@ class Toolkit:
     def momentum(self, rank: int) -> RegisterOperator:
         return bosonic.momentum(self.params, rank, self._ladders(rank))
 
-    def _mutate_circuit(self, circuit: gates.Circuit) -> gates.Circuit:
-        sign = self.theta(1.0)
-        if sign == 1.0:
-            return circuit
-        terms = []
-        for term in circuit.terms:
-            factors = tuple(
-                gates.transpose_theta(p.a, p.b, sign * p.theta) if p.kind == "T" else p
-                for p in term.factors
-            )
-            terms.append(gates.CircuitTerm(term.coeff, factors))
-        return gates.Circuit._trusted(circuit.rank, tuple(terms))
-
     def full_decomposition(self, kind: str, rank: int) -> gates.Circuit:
-        return self._mutate_circuit(bosonic.gate_decomposition(kind, self.params, rank).full)
+        weights, theta = bosonic._observable_weights(kind, self.params, rank)
+        return bosonic.decomposition_terms(rank, weights, self.theta(theta)).full
 
     def full_displacement_gateform(self, spec: coherent.CoherentSpec) -> gates.Circuit:
-        return self._mutate_circuit(coherent.displacement_generator_gateform(spec).full)
+        weights, theta = coherent._generator_weights(spec)
+        return bosonic.decomposition_terms(spec.rank, weights, self.theta(theta)).full
 
 
 def _max_abs(m: np.ndarray) -> float:
@@ -621,10 +611,13 @@ def run_criteria(cfg: VerifyConfig, mutation: str = "none") -> list[CriterionRes
     """
     if mutation != "none":
         return [result for result, _ in _run_base(cfg, mutation)]
+    # imported here, as only this path starts a worker: importing it loads logging
+    from concurrent.futures import ThreadPoolExecutor
+
     started = time.perf_counter()
     spec = coherent.CoherentSpec(_Z_SET[-1], cfg.params, min(10, cfg.rank))
     powers = [1 << n for n in range(spec.rank)]
-    handed = [gates.circuit_to_matrix(Toolkit(cfg.params).full_displacement_gateform(spec))]
+    handed = [gates.circuit_to_matrix(coherent.displacement_generator_gateform(spec).full)]
     with ThreadPoolExecutor(1) as pool:
         block = pool.submit(_dense_block, handed, powers)
         lead = time.perf_counter() - started

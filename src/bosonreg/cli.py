@@ -76,6 +76,8 @@ def _check_config(args: argparse.Namespace) -> None:
             raise _UsageError(f"--{name} must be positive and finite")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise _UsageError("--tol must be a non-negative finite real")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be a non-negative integer, got {args.seed}")
 
 
 def _params(args: argparse.Namespace) -> PhysParams:

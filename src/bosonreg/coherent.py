@@ -51,7 +51,7 @@ from .bosonic import (
     register_block,
 )
 from .errors import NotBosonicError, PhaseOverflowError, TruncationRiskError, ZeroVectorError
-from .gates import Circuit, CircuitPair, apply_plan
+from .gates import CircuitPair, apply_plan
 from .jsonio import fmt_float
 from .register import RegisterState
 
@@ -228,18 +228,19 @@ def displacement_apply(spec: CoherentSpec, state: RegisterState) -> RegisterStat
     return embed(BosonicSubspaceVector(u @ project(state).coeffs, spec.rank))
 
 
+def _generator_weights(spec: CoherentSpec) -> tuple[list[complex], float]:
+    """The weights i r sqrt(n+1) and theta of the generator; none at z = 0."""
+    r = spec.r
+    weights = [1j * r * math.sqrt(n + 1) for n in range(spec.rank - 1)] if r else []
+    return weights, spec.theta
+
+
 def displacement_generator_gateform(spec: CoherentSpec) -> CircuitPair:
     """The displacement generator as transpose circuits, full and reduced.
 
     z = 0 yields the empty sum, whose exponential is the identity.
     """
-    r, theta = spec.r, spec.theta
-    if r == 0.0:
-        empty = Circuit(spec.rank, ())
-        return CircuitPair(empty, empty)
-    weights = [1j * r * math.sqrt(n + 1) for n in range(spec.rank - 1)]
-    full, reduced = decomposition_terms(spec.rank, weights, theta)
-    return CircuitPair(Circuit._trusted(spec.rank, full), Circuit._trusted(spec.rank, reduced))
+    return decomposition_terms(spec.rank, *_generator_weights(spec))
 
 
 def _nonzero(norm_sq: float) -> float:

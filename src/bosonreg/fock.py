@@ -36,15 +36,13 @@ FOCK_MAX_RANK = 512
 
 @dataclass(frozen=True)
 class FockOperatorSet:
-    """The five dense level-space operators plus their constants."""
+    """The five dense level-space operators."""
 
     a: np.ndarray
     a_plus: np.ndarray
     x: np.ndarray
     p: np.ndarray
     h: np.ndarray
-    params: PhysParams
-    rank: int
 
 
 def build_fock(params: PhysParams, rank: int) -> FockOperatorSet:
@@ -58,7 +56,7 @@ def build_fock(params: PhysParams, rank: int) -> FockOperatorSet:
     x = (a_plus + a) / (2.0 * params.beta)
     p = 1j * (a_plus - a) / (2.0 * params.alpha)
     h = 0.5 * (a_plus @ a) + 0.5 * eps * np.eye(rank, dtype=complex)
-    return FockOperatorSet(a=a, a_plus=a_plus, x=x, p=p, h=h, params=params, rank=rank)
+    return FockOperatorSet(a=a, a_plus=a_plus, x=x, p=p, h=h)
 
 
 def intertwine_check(op: RegisterOperator, fock_matrix: np.ndarray) -> float:

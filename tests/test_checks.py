@@ -1,9 +1,11 @@
 """The mutation harness reruns a criterion only under the faults it consulted,
 and a fault-free run takes its dense exponential on one worker thread."""
 
+import cmath
 import functools
 import importlib
 import inspect
+import math
 import pkgutil
 import threading
 
@@ -74,6 +76,53 @@ def test_fault_free_parts_do_not_depend_on_the_toolkit(cfg, name, fn):
         faulted = Toolkit(cfg.params, mutation)
         assert fn(cfg, faulted) == unmutated, mutation
         assert faulted.consulted == consulted, mutation
+
+
+def _t_negated(circuit):
+    """circuit with every T factor rebuilt at -theta: what the theta-sign fault must build."""
+    terms = [
+        gates.CircuitTerm(term.coeff, tuple(
+            gates.transpose_theta(p.a, p.b, -p.theta) if p.kind == "T" else p
+            for p in term.factors
+        ))
+        for term in circuit.terms
+    ]
+    return gates.Circuit(circuit.rank, tuple(terms))
+
+
+_CIRCUIT_CASES = [
+    *((kind, rank, None) for kind in ("position", "momentum") for rank in range(2, 11)),
+    *(
+        ("displacement", rank, z)
+        for rank in range(2, 11)
+        for z in (0j, 0.3 + 0j, 0.5j, 0.7 * cmath.exp(1j * math.pi / 4.0))
+    ),
+]
+
+
+@pytest.mark.parametrize("kind,rank,z", _CIRCUIT_CASES)
+def test_theta_sign_enters_where_theta_does(kind, rank, z):
+    """The Toolkit's circuits are the builders' own, and under theta-sign the
+    builders' circuits with every T factor at -theta."""
+    params = VerifyConfig().params
+    kits = [Toolkit(params), Toolkit(params, "theta-sign")]
+    if kind == "displacement":
+        spec = coherent.CoherentSpec(z, params, rank)
+        built = coherent.displacement_generator_gateform(spec).full
+        plain, faulted = (kit.full_displacement_gateform(spec) for kit in kits)
+    else:
+        built = bosonic.gate_decomposition(kind, params, rank).full
+        plain, faulted = (kit.full_decomposition(kind, rank) for kit in kits)
+    assert plain == built
+    assert np.array_equal(
+        gates.circuit_to_matrix(faulted), gates.circuit_to_matrix(_t_negated(built))
+    )
+    assert [kit.consulted for kit in kits] == [{"theta-sign"}] * 2
+
+
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        VerifyConfig(seed=-1)
 
 
 def _outcome(r):

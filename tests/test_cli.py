@@ -444,20 +444,29 @@ def test_overflowing_coherent_mean_exits_2(argv):
     assert _one_line_refusal(*argv).startswith("bosonreg: error: |z|^2 overflows")
 
 
-def _one_line_refusal(*argv) -> str:
-    """Run the CLI as a subprocess; it must exit 2 with one stderr line."""
+def _python(*argv) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's bosonreg."""
     src = str(Path(bosonreg.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "bosonreg", *argv, "--allow-truncation-risk"],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def _one_line_refusal(*argv) -> str:
+    """Run the CLI as a subprocess; it must exit 2 with one stderr line."""
+    proc = _python("-m", "bosonreg", *argv, "--allow-truncation-risk")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
     return proc.stderr
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    """Only an unmutated verify starts the dense worker, so only it imports
+    concurrent.futures (and the logging that comes with it)."""
+    proc = _python("-c", "import sys, bosonreg.cli; print('concurrent.futures' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 @pytest.mark.parametrize(
@@ -518,6 +527,7 @@ _BAD_CONFIG = {
     ("--rank", "99"): "--rank must be in [2, 64], got 99",
     ("--alpha", "0"): "--alpha must be positive and finite",
     ("--tol", "-1"): "--tol must be a non-negative finite real",
+    ("--seed", "-1"): "--seed must be a non-negative integer, got -1",
 }
 
 
