@@ -20,7 +20,6 @@ from .bosonic import (
     embed,
     gate_decomposition,
     hamiltonian,
-    is_bosonic_operator,
     is_bosonic_state,
     ladder,
     momentum,
@@ -53,7 +52,6 @@ from .errors import (
     BosonRegError,
     EnergyScaleError,
     NotBosonicError,
-    NotFiniteCountableError,
     PhaseOverflowError,
     RankMismatchError,
     RankTooLargeError,
@@ -66,16 +64,11 @@ from .gates import (
     CircuitPair,
     CircuitTerm,
     apply_circuit,
-    apply_cnot,
-    apply_transpose_theta,
-    circuit_from_json,
-    circuit_to_json,
     circuit_to_matrix,
     cnot,
     cnot_transpose,
     conjugated_cnot_matrix,
     local,
-    transpose,
     transpose_theta,
 )
 from .qubit import (
@@ -83,28 +76,16 @@ from .qubit import (
     PhaseTransform,
     ScaledSiteOp,
     SiteOp,
-    op_adjoint,
     op_matrix,
     op_product,
     phase_conjugate,
 )
 from .register import (
-    BasisIndex,
     EventuallyPeriodicSequence,
-    GateKind,
-    LogicFunction,
     RegisterState,
     SequenceClass,
-    binary_gate,
-    classify,
     computational_map,
-    computational_value,
     continuum_map,
-    count_no,
-    count_yes,
-    negation,
-    rank2_coefficients,
-    separability_check,
 )
 
 __version__ = "0.1.0"

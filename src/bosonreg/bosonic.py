@@ -46,7 +46,6 @@ from .errors import (
     EnergyScaleError,
     NotBosonicError,
     RankMismatchError,
-    RankTooLargeError,
     ZeroVectorError,
 )
 from .gates import (
@@ -69,7 +68,7 @@ from .gates import (
     transpose_theta,
 )
 from .qubit import SiteOp
-from .register import DENSE_MAX_RANK, MAX_RANK, RegisterState
+from .register import MAX_RANK, RegisterState
 
 __all__ = [
     "PhysParams",
@@ -78,9 +77,7 @@ __all__ = [
     "circuit_as_operator",
     "bosonic_projector",
     "bosonic_identity",
-    "is_power_of_two_key",
     "is_bosonic_state",
-    "is_bosonic_operator",
     "b_lower",
     "b_raise",
     "ladder",
@@ -215,10 +212,6 @@ class RegisterOperator:
             ),
         )
 
-    @classmethod
-    def identity(cls, rank: int) -> "RegisterOperator":
-        return cls(rank, IDENTITY)
-
     def to_matrix(self) -> np.ndarray:
         """Dense 2**R matrix, columns indexed by integer key."""
         return branch_matrix(self.rank, self.branches)
@@ -278,10 +271,6 @@ def bosonic_identity(rank: int) -> RegisterOperator:
     return _level_units(rank, ((1, n, n) for n in range(rank)))
 
 
-def is_power_of_two_key(key: int) -> bool:
-    return key > 0 and key & (key - 1) == 0
-
-
 def is_bosonic_state(state: RegisterState) -> bool:
     """True when the bosonic filter leaves the state unchanged, to 1e-12 of its norm.
 
@@ -291,17 +280,6 @@ def is_bosonic_state(state: RegisterState) -> bool:
         raise ZeroVectorError("the zero vector is neither bosonic nor transbosonic")
     residual = bosonic_identity(state.rank).apply(state) - state
     return residual.norm() <= 1e-12 * state.norm()
-
-
-def is_bosonic_operator(op: RegisterOperator) -> bool:
-    """True when the operator commutes with the bosonic filter to 1e-10 (dense check)."""
-    if op.rank > DENSE_MAX_RANK:
-        raise RankTooLargeError(
-            f"commutant check is dense and needs rank <= {DENSE_MAX_RANK}"
-        )
-    a = op.to_matrix()
-    f = bosonic_identity(op.rank).to_matrix()
-    return float(np.max(np.abs(a @ f - f @ a))) <= 1e-10
 
 
 def b_lower(n: int, rank: int) -> RegisterOperator:

@@ -99,21 +99,6 @@ class CoherentSpec:
                 f"|z|^2 = {mean:.3g} exceeds rank/4 = {self.rank / 4.0:.3g}"
             )
 
-    @classmethod
-    def from_polar(
-        cls,
-        r: float,
-        theta: float,
-        params: PhysParams,
-        rank: int,
-        allow_truncation_risk: bool = False,
-    ) -> "CoherentSpec":
-        """Build from the rotation parameters, z = i r e^{i theta}."""
-        if r < 0:
-            raise ValueError("r must be non-negative")
-        z = 1j * r * cmath.exp(1j * theta)
-        return cls(z, params, rank, allow_truncation_risk)
-
     @property
     def r(self) -> float:
         return abs(self.z)

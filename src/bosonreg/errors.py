@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BosonRegError",
+    "RankMismatchError",
+    "ZeroVectorError",
+    "RankTooLargeError",
+    "NotBosonicError",
+    "TruncationRiskError",
+    "EnergyScaleError",
+    "PhaseOverflowError",
+]
+
 
 class BosonRegError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -19,10 +30,6 @@ class RankTooLargeError(BosonRegError):
 
 class NotBosonicError(BosonRegError):
     """A bosonic-only operation received a state outside the bosonic subspace."""
-
-
-class NotFiniteCountableError(BosonRegError):
-    """A recurring bit sequence was passed where a terminating one is required."""
 
 
 class TruncationRiskError(BosonRegError):

@@ -63,13 +63,10 @@ __all__ = [
     "branch_matrix",
     "site_branches",
     "circuit_branches",
-    "apply_cnot",
-    "apply_transpose_theta",
     "GatePlacement",
     "local",
     "cnot",
     "cnot_transpose",
-    "transpose",
     "transpose_theta",
     "CircuitTerm",
     "Circuit",
@@ -77,9 +74,7 @@ __all__ = [
     "apply_circuit",
     "circuit_to_matrix",
     "circuit_to_json_obj",
-    "circuit_to_json",
     "circuit_from_json_obj",
-    "circuit_from_json",
     "cnot_matrix",
     "transpose_theta_matrix",
     "conjugated_cnot_matrix",
@@ -308,11 +303,6 @@ def transpose_theta(a: int, b: int, theta: float) -> GatePlacement:
     return GatePlacement("T", a=a, b=b, theta=theta)
 
 
-def transpose(a: int, b: int) -> GatePlacement:
-    """Plain bit swap, stored canonically as T(a, b, 0)."""
-    return transpose_theta(a, b, 0.0)
-
-
 @dataclass(frozen=True)
 class CircuitTerm:
     coeff: complex
@@ -416,24 +406,6 @@ def circuit_branches(circuit: Circuit) -> tuple[Branch, ...]:
     return tuple(out)
 
 
-def _apply_one(state: RegisterState, p: GatePlacement) -> RegisterState:
-    _check_placement(state.rank, p)
-    return apply_branches(state.rank, _placement_branches(p), state)
-
-
-def apply_cnot(state: RegisterState, a: int, b: int) -> RegisterState:
-    """Flip bit b on every branch whose bit a is 1.  Self-inverse."""
-    return _apply_one(state, cnot(a, b))
-
-
-def apply_transpose_theta(
-    state: RegisterState, a: int, b: int, theta: float
-) -> RegisterState:
-    """Swap bits a and b, phasing the (1,0) branch by e^{+i theta} and the
-    (0,1) branch by e^{-i theta}."""
-    return _apply_one(state, transpose_theta(a, b, theta))
-
-
 def apply_circuit(state: RegisterState, circuit: Circuit) -> RegisterState:
     """Apply the weighted sum; within a term the rightmost factor acts first.
 
@@ -477,10 +449,6 @@ def circuit_to_json_obj(circuit: Circuit, memo: dict[int, object] | None = None)
             ]
         terms.append({"coeff": {"re": term.coeff.real, "im": term.coeff.imag}, "factors": factors})
     return {"rank": circuit.rank, "terms": terms}
-
-
-def circuit_to_json(circuit: Circuit) -> str:
-    return jsonio.dumps(circuit_to_json_obj(circuit))
 
 
 def _placement_from_obj(obj: Mapping) -> GatePlacement:
@@ -536,10 +504,6 @@ def circuit_from_json_obj(obj: Mapping) -> Circuit:
             re, im = jsonio.number(t["coeff"]["re"], "re"), jsonio.number(t["coeff"]["im"], "im")
             terms.append(CircuitTerm(complex(re, im), tuple(factors)))
     return Circuit._trusted(rank, tuple(terms))
-
-
-def circuit_from_json(text: str) -> Circuit:
-    return circuit_from_json_obj(jsonio.loads(text))
 
 
 def cnot_matrix() -> np.ndarray:

@@ -34,7 +34,6 @@ __all__ = [
     "op_product",
     "op_matrix",
     "op_bit_matrix",
-    "op_adjoint",
     "PhaseTransform",
     "phase_conjugate",
 ]
@@ -194,18 +193,6 @@ def op_bit_matrix(op: ScaledSiteOp | SiteOp) -> np.ndarray:
 def op_matrix(op: ScaledSiteOp | SiteOp) -> np.ndarray:
     """2x2 matrix in the display layout (first component = |1) amplitude)."""
     return op_bit_matrix(op)[::-1, ::-1].copy()
-
-
-_ADJOINT = {
-    _ZERO: _ZERO, _P0: _P0, _P1: _P1, _A: _AP, _AP: _A,
-    _S0: _S0, _S1: _S1, _S2: _S2, _S3: _S3,
-}
-
-
-def op_adjoint(op: ScaledSiteOp | SiteOp) -> ScaledSiteOp:
-    """Hermitian adjoint, again an exact scaled symbol."""
-    scaled = _as_scaled(op)
-    return ScaledSiteOp(scaled.coeff.conjugate(), _ADJOINT[scaled.op])
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Logic functions, basis indexing, and sparse register states.
+"""Index maps, bit-sequence classification, and sparse register states.
 
 A register of rank R is a row of R qubit sites.  A classical configuration
 assigns every site a yes/no answer; we encode it as a bit tuple and identify
@@ -27,32 +27,16 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import jsonio
-from .errors import (
-    NotFiniteCountableError,
-    RankMismatchError,
-    RankTooLargeError,
-    ZeroVectorError,
-)
+from .errors import RankMismatchError
 
 __all__ = [
     "MAX_RANK",
     "DENSE_MAX_RANK",
-    "LogicFunction",
-    "GateKind",
-    "negation",
-    "binary_gate",
-    "count_yes",
-    "count_no",
-    "BasisIndex",
     "computational_map",
     "SequenceClass",
     "EventuallyPeriodicSequence",
-    "classify",
-    "computational_value",
     "continuum_map",
     "RegisterState",
-    "separability_check",
-    "rank2_coefficients",
 ]
 
 #: Keys are manipulated as plain machine integers, so ranks stop at 64 bits.
@@ -75,81 +59,10 @@ def _check_bits(bits: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class LogicFunction:
-    """A classical answer sheet: one bit per site."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _check_bits(self.bits))
-        _check_rank(len(self.bits))
-
-    @property
-    def rank(self) -> int:
-        return len(self.bits)
-
-
-class GateKind(Enum):
-    AND = "and"
-    OR = "or"
-    XOR = "xor"
-
-
-def negation(f: LogicFunction) -> LogicFunction:
-    return LogicFunction(tuple(1 - b for b in f.bits))
-
-
-def binary_gate(kind: GateKind, f: LogicFunction, g: LogicFunction) -> LogicFunction:
-    if f.rank != g.rank:
-        raise RankMismatchError(f"rank {f.rank} vs {g.rank}")
-    if kind is GateKind.AND:
-        bits = tuple(a & b for a, b in zip(f.bits, g.bits))
-    elif kind is GateKind.OR:
-        bits = tuple(a | b for a, b in zip(f.bits, g.bits))
-    elif kind is GateKind.XOR:
-        bits = tuple(a ^ b for a, b in zip(f.bits, g.bits))
-    else:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    return LogicFunction(bits)
-
-
-def count_yes(f: LogicFunction) -> int:
-    return sum(f.bits)
-
-
-def count_no(f: LogicFunction) -> int:
-    return f.rank - sum(f.bits)
-
-
-def computational_map(bits: Sequence[int] | LogicFunction) -> int:
+def computational_map(bits: Sequence[int]) -> int:
     """Integer key of a finite bit sequence, site 0 least significant."""
-    if isinstance(bits, LogicFunction):
-        bits = bits.bits
     bits = _check_bits(bits)
     return sum(b << n for n, b in enumerate(bits))
-
-
-@dataclass(frozen=True)
-class BasisIndex:
-    """One classical basis state of a rank-R register."""
-
-    rank: int
-    key: int
-
-    def __post_init__(self) -> None:
-        _check_rank(self.rank)
-        if not 0 <= self.key < (1 << self.rank):
-            raise ValueError(f"key {self.key} out of range for rank {self.rank}")
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "BasisIndex":
-        bits = _check_bits(bits)
-        return cls(len(bits), computational_map(bits))
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.key >> n) & 1 for n in range(self.rank))
 
 
 class SequenceClass(Enum):
@@ -178,22 +91,10 @@ class EventuallyPeriodicSequence:
         return SequenceClass.FINITE_COUNTABLE
 
 
-def classify(seq: EventuallyPeriodicSequence) -> SequenceClass:
-    return seq.classify()
-
-
 def _as_sequence(seq: EventuallyPeriodicSequence | Sequence[int]) -> EventuallyPeriodicSequence:
     if isinstance(seq, EventuallyPeriodicSequence):
         return seq
     return EventuallyPeriodicSequence(prefix=_check_bits(seq))
-
-
-def computational_value(seq: EventuallyPeriodicSequence | Sequence[int]) -> int:
-    """Integer key of a terminating sequence; recurring input is an error."""
-    seq = _as_sequence(seq)
-    if seq.classify() is SequenceClass.RECURRING:
-        raise NotFiniteCountableError("recurring sequence has no integer key")
-    return computational_map(seq.prefix)
 
 
 def continuum_map(seq: EventuallyPeriodicSequence | Sequence[int]) -> Fraction:
@@ -325,29 +226,6 @@ class RegisterState:
     def __rmul__(self, factor: complex) -> "RegisterState":
         return self.scale(factor)
 
-    def normalized(self) -> "RegisterState":
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroVectorError("cannot normalize the zero vector")
-        return self.scale(1.0 / n)
-
-    def to_dense(self) -> np.ndarray:
-        if self.rank > DENSE_MAX_RANK:
-            raise RankTooLargeError(
-                f"dense vector needs rank <= {DENSE_MAX_RANK}, got {self.rank}"
-            )
-        vec = np.zeros(1 << self.rank, dtype=complex)
-        for key, value in self._amp.items():
-            vec[key] = value
-        return vec
-
-    @classmethod
-    def from_dense(cls, vec: np.ndarray, rank: int) -> "RegisterState":
-        vec = np.asarray(vec, dtype=complex)
-        if vec.shape != (1 << rank,):
-            raise ValueError(f"expected length {1 << rank}, got {vec.shape}")
-        return cls(rank, {k: v for k, v in enumerate(vec) if v != 0})
-
     def to_json_obj(self, **extra: float) -> dict:
         rows = [
             [key, float(value.real), float(value.imag)]
@@ -356,9 +234,6 @@ class RegisterState:
         obj: dict = {"rank": self.rank, "amplitudes": rows}
         obj.update(extra)
         return obj
-
-    def to_json(self) -> str:
-        return jsonio.dumps(self.to_json_obj())
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "RegisterState":
@@ -372,20 +247,3 @@ class RegisterState:
                 for k, re, im in obj["amplitudes"]
             ]
         return cls(rank, rows)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RegisterState":
-        return cls.from_json_obj(jsonio.loads(text))
-
-
-def rank2_coefficients(state: RegisterState) -> tuple[complex, complex, complex, complex]:
-    """(c00, c01, c10, c11) of a rank-2 state, bit order (site 0, site 1)."""
-    if state.rank != 2:
-        raise RankMismatchError(f"need rank 2, got {state.rank}")
-    a = state.amplitude
-    return a(0b00), a(0b10), a(0b01), a(0b11)
-
-
-def separability_check(c00: complex, c01: complex, c10: complex, c11: complex) -> bool:
-    """True when a rank-2 amplitude table factorizes into a site product, to 1e-12."""
-    return abs(c00 * c11 - c10 * c01) <= 1e-12

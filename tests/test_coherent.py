@@ -121,8 +121,7 @@ def test_tail_mass_keeps_relative_accuracy(z, rank):
 
 
 def test_polar_construction():
-    spec = CoherentSpec.from_polar(0.3, 0.0, PARAMS, 8)
-    assert abs(spec.z - 0.3j) < 1e-15
+    spec = CoherentSpec(0.3j, PARAMS, 8)
     assert abs(spec.r - 0.3) < 1e-15
     assert abs(spec.theta - 0.0) < 1e-15
     assert abs(CoherentSpec(-0.5 + 0j, PARAMS, 8).theta - math.pi / 2) < 1e-15

@@ -25,14 +25,10 @@ from bosonreg.gates import (
     CircuitTerm,
     apply_branches,
     apply_circuit,
-    apply_cnot,
     apply_index,
     apply_plan,
-    apply_transpose_theta,
     circuit_branches,
-    circuit_from_json,
     circuit_from_json_obj,
-    circuit_to_json,
     circuit_to_json_obj,
     circuit_to_matrix,
     cnot,
@@ -44,22 +40,32 @@ from bosonreg.gates import (
     local,
     plan_index,
     site_branches,
-    transpose,
     transpose_theta,
     transpose_theta_matrix,
 )
 from bosonreg.qubit import SiteOp, op_bit_matrix
-from bosonreg.register import RegisterState, rank2_coefficients, separability_check
+from bosonreg.register import RegisterState
+
+
+def _one_gate(rank: int, placement) -> Circuit:
+    """A single placement as a one-term circuit."""
+    return Circuit(rank, (CircuitTerm(1, (placement,)),))
+
+
+def _json_round_trip(circuit: Circuit) -> Circuit:
+    """Write the circuit as JSON text and parse it back, as the CLI does."""
+    return circuit_from_json_obj(jsonio.loads(jsonio.dumps(circuit_to_json_obj(circuit))))
 
 
 def test_cnot_key_action():
     """Control site a flips bit b; donor bit itself is untouched."""
+    flip = _one_gate(2, cnot(0, 1))
     for key in range(4):
-        image = apply_cnot(RegisterState.basis(2, key), 0, 1)
+        image = apply_circuit(RegisterState.basis(2, key), flip)
         expected = key ^ (((key >> 0) & 1) << 1)
         assert image == RegisterState.basis(2, expected)
-    assert apply_cnot(RegisterState.basis(2, 1), 0, 1) == RegisterState.basis(2, 3)
-    assert apply_cnot(RegisterState.basis(2, 3), 0, 1) == RegisterState.basis(2, 1)
+    assert apply_circuit(RegisterState.basis(2, 1), flip) == RegisterState.basis(2, 3)
+    assert apply_circuit(RegisterState.basis(2, 3), flip) == RegisterState.basis(2, 1)
 
 
 @given(key=st.integers(0, 15), a=st.integers(0, 3), b=st.integers(0, 3))
@@ -67,7 +73,8 @@ def test_cnot_involution(key, a, b):
     if a == b:
         b = (a + 1) % 4
     state = RegisterState.basis(4, key)
-    assert apply_cnot(apply_cnot(state, a, b), a, b) == state
+    flip = _one_gate(4, cnot(a, b))
+    assert apply_circuit(apply_circuit(state, flip), flip) == state
 
 
 def test_cnot_matrix_is_permutation_oracle():
@@ -86,21 +93,20 @@ def test_transpose_from_cnots_exactly():
 
 
 def test_transpose_swaps_single_occupancy_keys():
-    s = apply_transpose_theta(RegisterState.basis(2, 1), 0, 1, 0.0)
-    assert s == RegisterState.basis(2, 2)
+    swap = _one_gate(2, transpose_theta(0, 1, 0.0))
+    assert apply_circuit(RegisterState.basis(2, 1), swap) == RegisterState.basis(2, 2)
     for key in (0, 3):
-        image = apply_transpose_theta(RegisterState.basis(2, key), 0, 1, 0.0)
-        assert image == RegisterState.basis(2, key)
+        assert apply_circuit(RegisterState.basis(2, key), swap) == RegisterState.basis(2, key)
 
 
 def test_twisted_transpose_phases():
     """Moving the excitation down-site picks up exp(-i theta)."""
-    theta = math.pi / 2
-    up = apply_transpose_theta(RegisterState.basis(2, 1), 0, 1, theta)
-    down = apply_transpose_theta(RegisterState.basis(2, 2), 0, 1, theta)
+    twisted = _one_gate(2, transpose_theta(0, 1, math.pi / 2))
+    up = apply_circuit(RegisterState.basis(2, 1), twisted)
+    down = apply_circuit(RegisterState.basis(2, 2), twisted)
     assert abs(up.amplitude(2) - 1j) < 1e-15
     assert abs(down.amplitude(1) - (-1j)) < 1e-15
-    equal_bits = apply_transpose_theta(RegisterState.basis(2, 3), 0, 1, theta)
+    equal_bits = apply_circuit(RegisterState.basis(2, 3), twisted)
     assert equal_bits == RegisterState.basis(2, 3)
 
 
@@ -112,10 +118,9 @@ def test_twisted_transpose_is_unitary(theta):
 
 def test_cnot_transpose_canonical_form():
     assert cnot_transpose(0, 1) == cnot(1, 0)
-    assert transpose(0, 1) == transpose_theta(0, 1, 0.0)
     state = RegisterState.basis(2, 2)
-    swapped = Circuit(2, (CircuitTerm(1, (cnot_transpose(0, 1),)),))
-    assert apply_circuit(state, swapped) == apply_cnot(state, 1, 0)
+    swapped = _one_gate(2, cnot_transpose(0, 1))
+    assert apply_circuit(state, swapped) == apply_circuit(state, _one_gate(2, cnot(1, 0)))
 
 
 def test_local_placement_rejects_zero_op():
@@ -213,7 +218,7 @@ def test_circuit_json_roundtrip():
             CircuitTerm(-0.25, (transpose_theta(0, 2, math.pi / 2),)),
         ),
     )
-    assert circuit_from_json(circuit_to_json(c)) == c
+    assert _json_round_trip(c) == c
 
 
 @pytest.mark.parametrize("kind", ["position", "momentum", "displacement"])
@@ -224,7 +229,7 @@ def test_rank64_decompositions_round_trip(kind):
     else:
         pair = gate_decomposition(kind, params, 64)
     for circuit in (pair.full, pair.reduced):
-        assert circuit_from_json(circuit_to_json(circuit)) == circuit
+        assert _json_round_trip(circuit) == circuit
 
 
 def test_parsed_zero_theta_keeps_its_sign():
@@ -234,7 +239,7 @@ def test_parsed_zero_theta_keeps_its_sign():
         '{"type": "T", "a": 0, "b": 1, "theta": 0.0},'
         '{"type": "T", "a": 0, "b": 1, "theta": -0.0}]}]}'
     )
-    first, second = circuit_from_json(text).terms[0].factors
+    first, second = circuit_from_json_obj(jsonio.loads(text)).terms[0].factors
     assert math.copysign(1.0, first.theta) == 1.0
     assert math.copysign(1.0, second.theta) == -1.0
 
@@ -348,7 +353,7 @@ def test_parse_checks_each_placement_once(monkeypatch, half):
     """A parse checks each distinct local or cnot factor once and each T
     factor once, not every factor of every term."""
     circuit = getattr(gate_decomposition("position", PhysParams(1.3, 0.8, 1.1), 64), half)
-    obj = jsonio.loads(circuit_to_json(circuit))
+    obj = jsonio.loads(jsonio.dumps(circuit_to_json_obj(circuit)))
     factors = [f for t in obj["terms"] for f in t["factors"]]
     t_factors = sum(f["type"] == "T" for f in factors)
     distinct = {tuple(sorted(f.items())) for f in factors if f["type"] != "T"}
@@ -499,7 +504,7 @@ def test_parse_takes_whole_numbers_written_as_ints():
     circuit = _parse_one_term({"re": 3, "im": -1}, factors)
     assert circuit.terms[0].coeff == 3 - 1j
     assert circuit.terms[0].factors[2] == transpose_theta(0, 2, 2.0)
-    assert circuit_from_json(circuit_to_json(circuit)) == circuit
+    assert _json_round_trip(circuit) == circuit
 
 
 def _fresh_json_obj(circuit: Circuit) -> dict:
@@ -538,7 +543,7 @@ def test_shared_factor_dicts_match_fresh_form(kind, rank):
         placements = {id(p) for t in circuit.terms for p in t.factors}
         dicts = {id(f) for t in obj["terms"] for f in t["factors"]}
         assert len(dicts) == len(placements)
-        assert circuit_from_json(circuit_to_json(circuit)) == circuit
+        assert _json_round_trip(circuit) == circuit
 
 
 def _factor_branches(p) -> tuple:
@@ -641,11 +646,16 @@ def test_conjugated_cnot_quarter_turn():
 
 
 def test_cnot_entangles_superposed_control():
+    """A rank-2 state is a site product exactly when the 2x2 table of its
+    amplitudes, rows site 0 and columns site 1, has zero determinant."""
+    def determinant(state):
+        a = state.amplitude
+        return a(0b00) * a(0b11) - a(0b01) * a(0b10)
+
+    flip = _one_gate(2, cnot(0, 1))
     plus = RegisterState(2, {0: 2 ** -0.5, 1: 2 ** -0.5})
-    out = apply_cnot(plus, 0, 1)
-    assert not separability_check(*rank2_coefficients(out))
-    classical = apply_cnot(RegisterState.basis(2, 1), 0, 1)
-    assert separability_check(*rank2_coefficients(classical))
+    assert abs(determinant(apply_circuit(plus, flip))) > 1e-12
+    assert abs(determinant(apply_circuit(RegisterState.basis(2, 1), flip))) <= 1e-12
 
 
 def _scan(branches, state: RegisterState) -> dict:

@@ -14,7 +14,6 @@ from bosonreg.qubit import (
     ScaledSiteOp,
     SiteOp,
     op_action,
-    op_adjoint,
     op_bit_matrix,
     op_matrix,
     op_product,
@@ -82,13 +81,6 @@ def test_scaled_op_canonicalizes_zero():
     assert ScaledSiteOp(1, SiteOp.ZERO).coeff == 0
     with pytest.raises(ValueError):
         ScaledSiteOp(0.5, SiteOp.A)
-
-
-def test_adjoint_is_conjugate_transpose():
-    for op in ALL_OPS:
-        assert np.array_equal(op_matrix(op_adjoint(op)), op_matrix(op).conj().T)
-    scaled = ScaledSiteOp(1j, SiteOp.A)
-    assert op_adjoint(scaled) == ScaledSiteOp(-1j, SiteOp.APLUS)
 
 
 def test_action_table_matches_bit_matrix():
