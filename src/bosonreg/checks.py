@@ -181,21 +181,16 @@ def _pair_matrix(op_site0: qubit.SiteOp, op_site1: qubit.SiteOp) -> np.ndarray:
 
 def _product_table_closure(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
     ops = list(qubit.SiteOp)
-    closure_dev = 0.0
-    for a in ops:
-        for b in ops:
-            prod = qubit.op_matrix(qubit.op_product(a, b))
-            direct = qubit.op_matrix(a) @ qubit.op_matrix(b)
-            closure_dev = max(closure_dev, _max_abs(prod - direct))
-    assoc_failures = 0
-    for a in ops:
-        for b in ops:
-            ab = qubit.op_product(a, b)
-            for c in ops:
-                left = qubit.op_product(ab, c)
-                right = qubit.op_product(a, qubit.op_product(b, c))
-                if left != right:
-                    assoc_failures += 1
+    mats = np.array([qubit.op_matrix(op) for op in ops])
+    table = [[qubit.op_product(a, b) for b in ops] for a in ops]
+    prods = np.array([[qubit.op_matrix(ab) for ab in row] for row in table])
+    closure_dev = _max_abs(prods - mats[:, None] @ mats[None, :])
+    assoc_failures = sum(
+        qubit.op_product(table[i][j], c) != qubit.op_product(a, table[j][k])
+        for i, a in enumerate(ops)
+        for j in range(len(ops))
+        for k, c in enumerate(ops)
+    )
     return [
         _Part("closure(81)", closure_dev, 0.0),
         _Part("associativity(729)", float(assoc_failures), 0.0),
@@ -242,50 +237,48 @@ def _gate_identities(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
     ]
 
 
+def _per_sample(f: Callable[[float], complex], xs: np.ndarray) -> np.ndarray:
+    """f of each sample's scalar, as a column that scales a stack of matrices."""
+    return np.array([f(x) for x in xs])[:, None, None]
+
+
 def _phase_covariance(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
+    """100 random site rephasings, stacked one sample per row.  Only products,
+    sums and differences are stacked, so each sample's values are a per-sample
+    loop's, bit for bit; cos, sin and cmath.exp of an angle stay scalar calls,
+    as numpy's array versions may round otherwise."""
     rng = np.random.default_rng(cfg.seed)
-    table_dev = 0.0
-    product_dev = 0.0
-    cnot_dev = 0.0
+    a, b, g, d = rng.uniform(0.0, 2.0 * math.pi, size=(100, 4)).T
     ops = list(qubit.SiteOp)
-    mat = {op: qubit.op_matrix(op) for op in ops}
-    products = [(x, y, qubit.op_product(x, y)) for x in ops for y in ops]
-    for _ in range(100):
-        a, b, g, d = rng.uniform(0.0, 2.0 * math.pi, size=4)
-        u = qubit.PhaseTransform(a, b)
-        phi = a - b
-        expected = {
-            qubit.SiteOp.ZERO: 0 * mat[qubit.SiteOp.ZERO],
-            qubit.SiteOp.P0: mat[qubit.SiteOp.P0],
-            qubit.SiteOp.P1: mat[qubit.SiteOp.P1],
-            qubit.SiteOp.S0: mat[qubit.SiteOp.S0],
-            qubit.SiteOp.S3: mat[qubit.SiteOp.S3],
-            qubit.SiteOp.A: cmath.exp(1j * phi) * mat[qubit.SiteOp.A],
-            qubit.SiteOp.APLUS: cmath.exp(-1j * phi) * mat[qubit.SiteOp.APLUS],
-            qubit.SiteOp.S1: math.cos(phi) * mat[qubit.SiteOp.S1]
-            + math.sin(phi) * mat[qubit.SiteOp.S2],
-            qubit.SiteOp.S2: -math.sin(phi) * mat[qubit.SiteOp.S1]
-            + math.cos(phi) * mat[qubit.SiteOp.S2],
-        }
-        conj = {op: qubit.phase_conjugate(op, u) for op in ops}
-        for op in ops:
-            table_dev = max(table_dev, _max_abs(conj[op] - expected[op]))
-        for x, y, prod in products:
-            lhs = conj[x] @ conj[y]
-            product_dev = max(product_dev, _max_abs(lhs - prod.coeff * conj[prod.op]))
-        psi = g - d
-        formula = _pair_matrix(qubit.SiteOp.P0, qubit.SiteOp.S0) + np.kron(
-            math.cos(psi) * qubit.op_bit_matrix(qubit.SiteOp.S1)
-            + math.sin(psi) * qubit.op_bit_matrix(qubit.SiteOp.S2),
-            qubit.op_bit_matrix(qubit.SiteOp.P1),
-        )
-        cnot_dev = max(
-            cnot_dev, _max_abs(gates.conjugated_cnot_matrix(a, b, g, d) - formula)
-        )
+    at = {op: i for i, op in enumerate(ops)}
+    mats = np.array([qubit.op_matrix(op) for op in ops])
+    u = np.zeros((100, 1, 2, 2), dtype=complex)  # qubit.PhaseTransform(a, b).matrix
+    u[:, 0, 0, 0], u[:, 0, 1, 1] = np.exp(-1j * a), np.exp(-1j * b)
+    conj = u @ mats @ u.conj().swapaxes(-1, -2)  # qubit.phase_conjugate, (100, 9, 2, 2)
+    phi = a - b
+    cos, sin = _per_sample(math.cos, phi), _per_sample(math.sin, phi)
+    s1, s2 = mats[at[qubit.SiteOp.S1]], mats[at[qubit.SiteOp.S2]]
+    expected = np.repeat(mats[None], 100, axis=0)
+    expected[:, at[qubit.SiteOp.A]] *= _per_sample(lambda x: cmath.exp(1j * x), phi)
+    expected[:, at[qubit.SiteOp.APLUS]] *= _per_sample(lambda x: cmath.exp(-1j * x), phi)
+    expected[:, at[qubit.SiteOp.S1]] = cos * s1 + sin * s2
+    expected[:, at[qubit.SiteOp.S2]] = -sin * s1 + cos * s2
+    products = [qubit.op_product(x, y) for x in ops for y in ops]
+    coeffs = np.array([p.coeff for p in products])[:, None, None]
+    xs, ys = np.divmod(np.arange(len(products)), len(ops))
+    covariance = conj[:, xs] @ conj[:, ys]  # (100, 81, 2, 2)
+    covariance -= coeffs * conj[:, [at[p.op] for p in products]]
+    psi = g - d
+    formula = (
+        _pair_matrix(qubit.SiteOp.P0, qubit.SiteOp.S0)
+        + _per_sample(math.cos, psi) * _pair_matrix(qubit.SiteOp.P1, qubit.SiteOp.S1)
+        + _per_sample(math.sin, psi) * _pair_matrix(qubit.SiteOp.P1, qubit.SiteOp.S2)
+    )
+    cnot = gates.conjugated_cnot_matrix(a, b, g, d)  # (100, 4, 4)
     return [
-        _Part("transform-table", table_dev, 1e-12),
-        _Part("product-covariance", product_dev, 1e-12),
-        _Part("conjugated-cnot", cnot_dev, 1e-12),
+        _Part("transform-table", _max_abs(conj - expected), 1e-12),
+        _Part("product-covariance", _max_abs(covariance), 1e-12),
+        _Part("conjugated-cnot", _max_abs(cnot - formula), 1e-12),
     ]
 
 

@@ -108,7 +108,8 @@ class CoherentSpec:
         """Rotation angle with z = i r e^{i theta}, wrapped to [-pi, pi); 0 at z = 0."""
         if self.z == 0:
             return 0.0
-        raw = cmath.phase(self.z) - math.pi / 2.0
+        # cmath.phase's atan2, without its OverflowError when the angle underflows
+        raw = math.atan2(self.z.imag, self.z.real) - math.pi / 2.0
         return (raw + math.pi) % (2.0 * math.pi) - math.pi
 
 

@@ -517,7 +517,10 @@ def transpose_theta_matrix(theta: float) -> np.ndarray:
 
 
 def conjugated_cnot_matrix(
-    alpha: float, beta: float, gamma: float, delta: float
+    alpha: float | np.ndarray,
+    beta: float | np.ndarray,
+    gamma: float | np.ndarray,
+    delta: float | np.ndarray,
 ) -> np.ndarray:
     """CNOT conjugated by site rephasings, control site 0, target site 1.
 
@@ -525,9 +528,14 @@ def conjugated_cnot_matrix(
     gamma, delta.  The control block is untouched while the target exchange
     rotates by the target's phase difference only, so the result equals
     P0 (x) S0 + P1 (x) (cos(gamma - delta) S1 + sin(gamma - delta) S2).
+
+    Angle arrays of one shape give one 4x4 matrix per position, stacked in
+    front; each equals the scalar call's matrix bit for bit.
     """
-    u_a = np.diag([np.exp(-1j * beta), np.exp(-1j * alpha)])  # bit order 0, 1
-    u_b = np.diag([np.exp(-1j * delta), np.exp(-1j * gamma)])
-    u = np.kron(u_b, u_a)  # site 1 is the high bit of the key
-    c = cnot_matrix()
-    return u @ c @ u.conj().T
+    shape = np.shape(alpha)
+    u_a, u_b = np.zeros((2, *shape, 2, 2), dtype=complex)  # bit order 0, 1
+    u_a[..., 0, 0], u_a[..., 1, 1] = np.exp(-1j * beta), np.exp(-1j * alpha)
+    u_b[..., 0, 0], u_b[..., 1, 1] = np.exp(-1j * delta), np.exp(-1j * gamma)
+    # np.kron(u_b, u_a) as np.kron multiplies it; site 1 is the high bit of the key
+    u = (u_b[..., :, None, :, None] * u_a[..., None, :, None, :]).reshape(*shape, 4, 4)
+    return u @ cnot_matrix() @ u.conj().swapaxes(-1, -2)

@@ -2,6 +2,7 @@
 and a fault-free run takes its dense exponential on one worker thread."""
 
 import cmath
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import bosonreg
-from bosonreg import bosonic, checks, coherent, gates
+from bosonreg import bosonic, checks, coherent, gates, qubit
 from bosonreg.checks import CRITERION_NAMES, MUTATIONS, Toolkit, VerifyConfig, run_criteria
 from bosonreg.qubit import SiteOp
 
@@ -305,3 +306,108 @@ def test_worker_enters_no_public_function():
     assert "dense-exponential" in results[CRITERION_NAMES.index("coherent-states")].detail
     assert {coherent._hermitian_of.__code__, coherent._expm_i.__code__} <= entered
     assert not entered & _public_code()
+
+
+# --- the stacked sweeps against per-sample loops -------------------------------
+
+
+def _product_table_closure_per_sample():
+    """The closure and associativity sweeps, one product at a time."""
+    ops = list(SiteOp)
+    closure_dev = 0.0
+    for a in ops:
+        for b in ops:
+            prod = qubit.op_matrix(qubit.op_product(a, b))
+            direct = qubit.op_matrix(a) @ qubit.op_matrix(b)
+            closure_dev = max(closure_dev, checks._max_abs(prod - direct))
+    assoc_failures = 0
+    for a in ops:
+        for b in ops:
+            ab = qubit.op_product(a, b)
+            for c in ops:
+                left = qubit.op_product(ab, c)
+                right = qubit.op_product(a, qubit.op_product(b, c))
+                if left != right:
+                    assoc_failures += 1
+    return [
+        checks._Part("closure(81)", closure_dev, 0.0),
+        checks._Part("associativity(729)", float(assoc_failures), 0.0),
+    ]
+
+
+def _phase_covariance_per_sample(cfg):
+    """phase-covariance, one rephasing at a time."""
+    rng = np.random.default_rng(cfg.seed)
+    table_dev = 0.0
+    product_dev = 0.0
+    cnot_dev = 0.0
+    ops = list(SiteOp)
+    mat = {op: qubit.op_matrix(op) for op in ops}
+    products = [(x, y, qubit.op_product(x, y)) for x in ops for y in ops]
+    for _ in range(100):
+        a, b, g, d = rng.uniform(0.0, 2.0 * math.pi, size=4)
+        u = qubit.PhaseTransform(a, b)
+        phi = a - b
+        expected = {
+            SiteOp.ZERO: 0 * mat[SiteOp.ZERO],
+            SiteOp.P0: mat[SiteOp.P0],
+            SiteOp.P1: mat[SiteOp.P1],
+            SiteOp.S0: mat[SiteOp.S0],
+            SiteOp.S3: mat[SiteOp.S3],
+            SiteOp.A: cmath.exp(1j * phi) * mat[SiteOp.A],
+            SiteOp.APLUS: cmath.exp(-1j * phi) * mat[SiteOp.APLUS],
+            SiteOp.S1: math.cos(phi) * mat[SiteOp.S1] + math.sin(phi) * mat[SiteOp.S2],
+            SiteOp.S2: -math.sin(phi) * mat[SiteOp.S1] + math.cos(phi) * mat[SiteOp.S2],
+        }
+        conj = {op: qubit.phase_conjugate(op, u) for op in ops}
+        for op in ops:
+            table_dev = max(table_dev, checks._max_abs(conj[op] - expected[op]))
+        for x, y, prod in products:
+            lhs = conj[x] @ conj[y]
+            product_dev = max(product_dev, checks._max_abs(lhs - prod.coeff * conj[prod.op]))
+        psi = g - d
+        formula = checks._pair_matrix(SiteOp.P0, SiteOp.S0) + np.kron(
+            math.cos(psi) * qubit.op_bit_matrix(SiteOp.S1)
+            + math.sin(psi) * qubit.op_bit_matrix(SiteOp.S2),
+            qubit.op_bit_matrix(SiteOp.P1),
+        )
+        cnot_dev = max(
+            cnot_dev, checks._max_abs(gates.conjugated_cnot_matrix(a, b, g, d) - formula)
+        )
+    return [
+        checks._Part("transform-table", table_dev, 1e-12),
+        checks._Part("product-covariance", product_dev, 1e-12),
+        checks._Part("conjugated-cnot", cnot_dev, 1e-12),
+    ]
+
+
+def _hex_parts(parts):
+    return [(part.label, float.hex(part.dev), float.hex(part.tol)) for part in parts]
+
+
+_SEEDS = (0, 1, 5, 7, 123, 60601)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+def test_stacked_phase_covariance_is_the_per_sample_loop(cfg, seed):
+    cfg = dataclasses.replace(cfg, seed=seed)
+    stacked = checks._phase_covariance(cfg, Toolkit(cfg.params))
+    assert _hex_parts(stacked) == _hex_parts(_phase_covariance_per_sample(cfg))
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+def test_stacked_product_table_closure_is_the_per_sample_loop(cfg):
+    stacked = checks._product_table_closure(cfg, Toolkit(cfg.params))
+    assert _hex_parts(stacked) == _hex_parts(_product_table_closure_per_sample())
+
+
+def test_phase_covariance_builds_the_cnot_once_per_run(monkeypatch):
+    """One stacked conjugated_cnot_matrix call per run, which builds the CNOT
+    then and there: a faulty CNOT kernel still reaches phase-covariance."""
+    calls = []
+    cnot_matrix = gates.cnot_matrix
+    monkeypatch.setattr(gates, "cnot_matrix", lambda: calls.append(1) or cnot_matrix())
+    cfg = VerifyConfig()
+    checks._phase_covariance(cfg, Toolkit(cfg.params))
+    assert len(calls) == 1

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bosonreg
@@ -696,6 +696,10 @@ def _cli_argv(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_cli_argv())
+# an angle that underflows: z = 2 + 5e-324i
+@example(["decompose", "displacement", "--z", "2.0+4.9406564584124654e-324i",
+          "--allow-truncation-risk", "--rank", "2", "--alpha", "1.0", "--beta", "1.0",
+          "--hbar", "1.0"])
 def test_cli_domain_answers_or_refuses_in_one_line(argv):
     """Across rank 2..64 and scales 1e-300..1e300: exit 0, or exit 2 with one stderr line."""
     code, _, err = _quiet_main(*argv)
@@ -722,6 +726,14 @@ def test_verify_answers_fails_or_refuses_in_one_line(rank, alpha, beta, hbar, mu
 
 
 def test_verify_minimum_rank_runs(capsys):
+    """A rank-2 register cannot hold a coherent state to 1e-8: exactly the two
+    coherent criteria fail, and the other ten pass."""
     code, out, _ = run(capsys, "verify", "--rank", "2")
-    assert code in (0, 1)
-    assert "verify:" in out
+    assert code == 1
+    assert "verify: FAIL (10/12 criteria passed, " in out
+    code, out, _ = run(capsys, "verify", "--rank", "2", "--format", "json")
+    assert code == 1
+    criteria = json.loads(out)["criteria"]
+    assert len(criteria) == 12
+    failed = [c["name"] for c in criteria if not c["passed"]]
+    assert failed == ["coherent-states", "coherent-dynamics"]

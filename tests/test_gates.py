@@ -645,6 +645,39 @@ def test_conjugated_cnot_quarter_turn():
     assert np.max(np.abs(m - expected)) < 1e-12
 
 
+def _same_bits(x, y):
+    """Equal shapes, equal values and equal signs of every real and imaginary part."""
+    return (
+        x.shape == y.shape
+        and np.array_equal(x.view(float), y.view(float))
+        and np.array_equal(np.signbit(x.view(float)), np.signbit(y.view(float)))
+    )
+
+
+def _conjugated_cnot_by_kron(alpha, beta, gamma, delta):
+    """The 4x4 conjugated CNOT built with np.diag and np.kron, one sample at a time."""
+    u_a = np.diag([np.exp(-1j * beta), np.exp(-1j * alpha)])
+    u_b = np.diag([np.exp(-1j * delta), np.exp(-1j * gamma)])
+    u = np.kron(u_b, u_a)
+    return u @ cnot_matrix() @ u.conj().T
+
+
+@pytest.mark.parametrize("seed", [0, 1, 60601])
+def test_conjugated_cnot_stack_is_the_scalar_calls(seed):
+    """A stack of 100 angle quadruples gives each scalar call's matrix bit for
+    bit, and each scalar call gives the np.kron-built matrix bit for bit."""
+    angles = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(100, 4))
+    stack = conjugated_cnot_matrix(*angles.T)
+    assert stack.shape == (100, 4, 4)
+    for row, sample in zip(stack, angles):
+        single = conjugated_cnot_matrix(*sample)
+        assert single.shape == (4, 4)
+        assert _same_bits(row, single)
+        assert _same_bits(single, _conjugated_cnot_by_kron(*sample))
+    for scalars in ((0, 0, 0, 0), (0.0, 0.0, math.pi / 2, 0.0), (1, 2.5, -3, 0.25)):
+        assert _same_bits(conjugated_cnot_matrix(*scalars), _conjugated_cnot_by_kron(*scalars))
+
+
 def test_cnot_entangles_superposed_control():
     """A rank-2 state is a site product exactly when the 2x2 table of its
     amplitudes, rows site 0 and columns site 1, has zero determinant."""
