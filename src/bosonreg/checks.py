@@ -243,22 +243,21 @@ def _per_sample(f: Callable[[float], complex], xs: np.ndarray) -> np.ndarray:
 
 
 def _phase_covariance(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
-    """100 random site rephasings, stacked one sample per row.  Only products,
-    sums and differences are stacked, so each sample's values are a per-sample
-    loop's, bit for bit; cos, sin and cmath.exp of an angle stay scalar calls,
-    as numpy's array versions may round otherwise."""
+    """100 random site rephasings, stacked one sample per row.  Each sample's
+    values are a per-sample loop's, bit for bit: the stack applies the numpy
+    calls one sample would, and the cos, sin and cmath.exp of an angle stay
+    scalar calls, as numpy's array versions may round otherwise."""
     rng = np.random.default_rng(cfg.seed)
     a, b, g, d = rng.uniform(0.0, 2.0 * math.pi, size=(100, 4)).T
     ops = list(qubit.SiteOp)
     at = {op: i for i, op in enumerate(ops)}
     mats = np.array([qubit.op_matrix(op) for op in ops])
-    u = np.zeros((100, 1, 2, 2), dtype=complex)  # qubit.PhaseTransform(a, b).matrix
-    u[:, 0, 0, 0], u[:, 0, 1, 1] = np.exp(-1j * a), np.exp(-1j * b)
-    conj = u @ mats @ u.conj().swapaxes(-1, -2)  # qubit.phase_conjugate, (100, 9, 2, 2)
+    u = qubit.PhaseTransform(a, b)
+    conj = np.stack([qubit.phase_conjugate(op, u) for op in ops], axis=1)  # (100, 9, 2, 2)
     phi = a - b
     cos, sin = _per_sample(math.cos, phi), _per_sample(math.sin, phi)
     s1, s2 = mats[at[qubit.SiteOp.S1]], mats[at[qubit.SiteOp.S2]]
-    expected = np.repeat(mats[None], 100, axis=0)
+    expected = np.broadcast_to(mats, conj.shape).copy()
     expected[:, at[qubit.SiteOp.A]] *= _per_sample(lambda x: cmath.exp(1j * x), phi)
     expected[:, at[qubit.SiteOp.APLUS]] *= _per_sample(lambda x: cmath.exp(-1j * x), phi)
     expected[:, at[qubit.SiteOp.S1]] = cos * s1 + sin * s2

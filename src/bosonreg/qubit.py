@@ -197,17 +197,20 @@ def op_matrix(op: ScaledSiteOp | SiteOp) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseTransform:
-    """Diagonal basis rephasing |1) -> e^{-i alpha}|1), |0) -> e^{-i beta}|0)."""
+    """Diagonal basis rephasing |1) -> e^{-i alpha}|1), |0) -> e^{-i beta}|0).
 
-    alpha: float
-    beta: float
+    Angle arrays of one shape stand for one rephasing per position.
+    """
+
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array(
-            [[np.exp(-1j * self.alpha), 0.0], [0.0, np.exp(-1j * self.beta)]],
-            dtype=complex,
-        )
+        """The 2x2 matrix, or a stack of them in front for angle arrays."""
+        u = np.zeros((*np.shape(self.alpha), 2, 2), dtype=complex)
+        u[..., 0, 0], u[..., 1, 1] = np.exp(-1j * self.alpha), np.exp(-1j * self.beta)
+        return u
 
 
 def phase_conjugate(op: ScaledSiteOp | SiteOp, transform: PhaseTransform) -> np.ndarray:
@@ -217,4 +220,4 @@ def phase_conjugate(op: ScaledSiteOp | SiteOp, transform: PhaseTransform) -> np.
     e^{+-i(alpha-beta)} and S1, S2 rotate into each other by the same angle.
     """
     u = transform.matrix
-    return u @ op_matrix(op) @ u.conj().T
+    return u @ op_matrix(op) @ u.conj().swapaxes(-1, -2)

@@ -143,3 +143,35 @@ def test_phase_transform_matrix_layout():
     assert abs(u.matrix[0, 0] - cmath.exp(-0.5j)) < 1e-15
     assert abs(u.matrix[1, 1] - cmath.exp(-1.5j)) < 1e-15
     assert u.matrix[0, 1] == 0 and u.matrix[1, 0] == 0
+
+
+def _same_bits(x, y):
+    """Equal shapes, equal values and equal signs of every real and imaginary part."""
+    return (
+        x.shape == y.shape
+        and np.array_equal(x.view(float), y.view(float))
+        and np.array_equal(np.signbit(x.view(float)), np.signbit(y.view(float)))
+    )
+
+
+def _phase_conjugate_by_literal(op, alpha, beta):
+    """U op U+ with U written out as a 2x2 literal, one rephasing at a time."""
+    u = np.array([[np.exp(-1j * alpha), 0.0], [0.0, np.exp(-1j * beta)]], dtype=complex)
+    return u @ op_matrix(op) @ u.conj().T
+
+
+@pytest.mark.parametrize("seed", [0, 1, 60601])
+def test_phase_conjugate_stack_is_the_scalar_calls(seed):
+    """Angle arrays of 100 rephasings give each scalar call's matrices bit for
+    bit, and each scalar call gives the literal-built matrices bit for bit."""
+    alpha, beta = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(2, 100))
+    stack = PhaseTransform(alpha, beta)
+    assert stack.matrix.shape == (100, 2, 2)
+    for op in ALL_OPS:
+        conj = phase_conjugate(op, stack)
+        assert conj.shape == (100, 2, 2)
+        for row, a, b in zip(conj, alpha, beta):
+            single = phase_conjugate(op, PhaseTransform(a, b))
+            assert single.shape == (2, 2)
+            assert _same_bits(row, single)
+            assert _same_bits(single, _phase_conjugate_by_literal(op, a, b))
