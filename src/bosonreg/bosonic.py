@@ -50,7 +50,6 @@ from .errors import (
 )
 from .gates import (
     IDENTITY,
-    ApplyPlan,
     Branch,
     BranchIndex,
     Circuit,
@@ -63,7 +62,6 @@ from .gates import (
     compose,
     index_branches,
     local,
-    plan_index,
     site_branches,
     transpose_theta,
 )
@@ -162,10 +160,6 @@ class RegisterOperator:
 
     def apply(self, state: RegisterState) -> RegisterState:
         return apply_index(self.rank, self._indexed(), state)
-
-    def plan(self, keys: Sequence[int]) -> ApplyPlan:
-        """Compile ``apply`` for states that store exactly ``keys``, in that order."""
-        return plan_index(self._indexed(), keys)
 
     def _require_same_rank(self, other: "RegisterOperator") -> None:
         if self.rank != other.rank:

@@ -28,9 +28,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import islice, repeat
-from operator import add, mul
+from itertools import islice
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,7 +50,7 @@ from .bosonic import (
     register_block,
 )
 from .errors import NotBosonicError, PhaseOverflowError, TruncationRiskError, ZeroVectorError
-from .gates import CircuitPair, apply_plan
+from .gates import CircuitPair, apply_plan, index_branches, plan_index
 from .jsonio import fmt_float
 from .register import RegisterState
 
@@ -293,52 +292,73 @@ def tabulate(
 ) -> list[list[float]]:
     """expectation(op, evolve(state, t, params)).real for each op and time.
 
-    One column per op, one value per time, bit for bit the values of that
-    loop.  Each op is compiled once over the state's key order, which every
-    snapshot keeps: a nonzero amplitude times a unit phase never rounds to
-    0, because cos or sin exceeds 1/2 in magnitude.  Each time's snapshot,
-    norm and refusals come first, from the phase factors -1j (n + 1/2).
-    Then each op runs on up to 1024 times at once as float64 array passes
-    of the same operations in the same order: the plan's layered image
-    sums, and inner_product's sum of conj(state) * image from 0j in the
-    image's order when it stores fewer keys, else the state's; a key the
-    image does not store adds +0.0, which changes no sum.
+    One column per op, in the order of ``ops``, one value per time, bit for
+    bit the values of that loop.  Ops whose branches share one (cond_mask,
+    cond_value, xor_mask) sequence, as x and p do, share one plan over the
+    state's key order, which every snapshot keeps: a nonzero amplitude
+    times a unit phase never rounds to 0, because cos or sin exceeds 1/2 in
+    magnitude.  Times run in blocks of up to 1024.  A block's phase factors
+    are CPython's cmath.exp of turn * rate; its snapshots and norms are
+    float64 array passes of CPython's complex products, the norms summed
+    left to right from 0.  Each time is refused in turn, its phase past the
+    bound before its zero norm.  Then each plan runs on the whole block as
+    float64 array passes of the same operations in the same order: the
+    plan's layered image sums, and inner_product's sum of conj(state) *
+    image from 0j in the image's order when it stores fewer keys, else the
+    state's; a key the image does not store adds +0.0, which changes no sum.
     """
     check_transbosonic(state)
     keys = list(state.amplitudes)
-    start = list(state.amplitudes.values())
+    start = np.array(list(state.amplitudes.values()))
     turns = [-1j * (key.bit_length() - 0.5) for key in keys]
     where = {key: position for position, key in enumerate(keys)}
+    shapes: dict[tuple, list[int]] = {}
+    for column, op in enumerate(ops):
+        shapes.setdefault(tuple(branch[:3] for branch in op.branches), []).append(column)
     compiled = []
-    for op in ops:
-        plan = op.plan(keys)
+    for members in shapes.values():
+        weights = ([coeff for *_, coeff in ops[column].branches] for column in members)
+        plan = plan_index(index_branches(ops[members[0]].branches), keys, weights)
         # image slot and state position of each key both sides may store, in image order
         slots = [j for j, key in enumerate(plan.keys) if key in where]
         positions = np.array([where[plan.keys[j]] for j in slots], dtype=np.intp)
-        compiled.append((plan, slots, positions, np.argsort(positions)))
-    columns: list[list[float]] = [[] for _ in compiled]
+        compiled.append((members, plan, slots, positions, np.argsort(positions)))
+    columns: list[list[float]] = [[] for _ in ops]
     times = iter(times)
     while block := list(islice(times, 1024)):  # blocks bound the arrays' memory
-        rows, norms = [], []
+        rates: list[float] = []
+        refused = None
         for t in block:
-            rate = _phase_rate(state.rank, float(t), params)
-            amps = list(map(mul, start, map(cmath.exp, map(mul, turns, repeat(rate)))))
-            conj = map(complex.conjugate, amps)
-            norms.append(_nonzero(reduce(add, map(mul, conj, amps), 0j).real))
-            rows.append(amps + [0j])  # the zero amplitude the plans' padding reads
-        snapshots = np.array(rows)
-        re, im = snapshots.real, snapshots.imag
+            try:
+                rates.append(_phase_rate(state.rank, float(t), params))
+            except PhaseOverflowError as error:
+                refused = error
+                break
+        factors = map(cmath.exp, map(mul, turns * len(rates), np.repeat(rates, len(keys)).tolist()))
+        phase = np.fromiter(factors, complex, len(rates) * len(keys)).reshape(len(rates), len(keys))
+        # the snapshots start * phase, one row per time, then the zero the plans' padding reads
+        re, im = np.zeros((2, len(rates), len(keys) + 1))
         with np.errstate(all="ignore"):  # an inf or nan arises as silently as in Python
-            for column, (plan, slots, positions, by_state) in zip(columns, compiled):
-                image_re, image_im = apply_plan(plan, re, im)
+            re[:, :-1] = start.real * phase.real - start.imag * phase.imag
+            im[:, :-1] = start.real * phase.imag + start.imag * phase.real
+            amp_re, amp_im = re[:, :-1], im[:, :-1]  # conj(amp) * amp's real part sums to the norm
+            norms = list(map(_nonzero, _running_sum(amp_re * amp_re - (-amp_im) * amp_im).tolist()))
+            if refused is not None:
+                raise refused
+            for members, plan, slots, positions, by_state in compiled:
+                shape = (2, len(members), len(rates), len(plan.keys))
+                image_re, image_im = np.broadcast_to(apply_plan(plan, re, im), shape)
                 stored = np.hypot(image_re, image_im) > 0.0
                 a_re, a_im = re[:, positions], -im[:, positions]
-                b_re, b_im = image_re[:, slots], image_im[:, slots]
+                b_re, b_im = image_re[..., slots], image_im[..., slots]
                 products = (a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re)
-                terms = np.where(stored[:, slots], products, 0.0)
-                fewer = stored.sum(axis=1) < len(keys)
+                terms = np.where(stored[..., slots], products, 0.0)
+                fewer = stored.sum(axis=-1) < len(keys)
                 sums = np.where(fewer, _running_sum(terms), _running_sum(terms[..., by_state]))
-                column += [(complex(r, i) / n).real for r, i, n in zip(*sums.tolist(), norms)]
+                for column, sums_re, sums_im in zip(members, *sums.tolist()):
+                    columns[column] += [
+                        (complex(r, i) / n).real for r, i, n in zip(sums_re, sums_im, norms)
+                    ]
     return columns
 
 

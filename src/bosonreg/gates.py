@@ -13,10 +13,11 @@ circuits all compile to branches, and compose, apply_index (with
 plan_index) and branch_matrix are the only code that rewrites keys.  Sparse
 application first groups the branches by cond_mask (index_branches); each
 stored key then finds the branches it meets by one lookup of key & cond_mask
-per mask.  Applying one operator to many states that store the same keys in
-the same order can be compiled once (plan_index, which shares apply_index's
-lookup) and then run on all of them at once, as a few float64 array passes
-over one row of amplitudes per state (apply_plan).
+per mask.  Applying operators that share one branch shape, with other coeffs,
+to many states that store the same keys in the same order can be compiled
+once (plan_index, which shares apply_index's lookup) and then run on all of
+them at once, as a few float64 array passes over one row of amplitudes per
+state, stacked per operator (apply_plan).
 
 CNOT with control a and target b flips bit b exactly on branches where bit a
 is 1; its transpose is the same gate with the roles swapped.  The bit
@@ -164,44 +165,55 @@ class ApplyPlan:
     """apply_index compiled for states that store a fixed key list, in order.
 
     ``keys`` are the image keys in the order apply_index first writes them.
-    Layer k holds every image key's k-th contribution: source positions and
-    coeffs' real and imaginary parts, as arrays.  A key with fewer is padded
-    with (number of sources, 0j), a position that holds a zero amplitude.
-    An accumulator built as 0.0 + x never holds -0.0, so adding the
-    padding's 0j * 0j leaves it exactly as it was.
+    Layer k holds every image key's k-th contribution: source positions, and
+    coeffs' real and imaginary parts as (operator, 1, key) arrays.  A key
+    with fewer is padded with (number of sources, 0j), a position that holds
+    a zero amplitude.  An accumulator built as 0.0 + x never holds -0.0, so
+    adding the padding's 0j * 0j leaves it exactly as it was.
     """
 
     keys: tuple[int, ...]
     layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-def plan_index(index: BranchIndex, sources: Sequence[int]) -> ApplyPlan:
-    """Record what apply_index does to states that store ``sources``, in order."""
-    contributions: dict[int, list[tuple[int, complex]]] = {}
+def plan_index(
+    index: BranchIndex, sources: Sequence[int], weights: Iterable[Sequence[complex]]
+) -> ApplyPlan:
+    """Record what apply_index does to states that store ``sources``, in order,
+    for each operator whose branches share the index's (cond_mask,
+    cond_value, xor_mask) sequence and take the coeffs of one row of
+    ``weights``, in branch order, as complex(coeff) the way index_branches
+    stores them.  The lookup depends on the shared sequence only, so the
+    operators share one layout.
+    """
+    contributions: dict[int, list[tuple[int, int]]] = {}
     for position, (key, hits) in enumerate(zip(sources, _lookup(index, sources))):
-        for _, flip, coeff in hits or ():
-            contributions.setdefault(key ^ flip, []).append((position, coeff))
+        for branch, flip, _ in hits or ():
+            contributions.setdefault(key ^ flip, []).append((position, branch))
+    # (operator, 1, branch): the unit axis spans apply_plan's rows; branch -1 is the padding's 0j
+    coeffs = np.array([[*map(complex, row), 0j] for row in weights])[:, None]
     depth = max(map(len, contributions.values()), default=0)
-    pad = (len(sources), 0j)
+    pad = (len(sources), -1)
     padded = [column + [pad] * (depth - len(column)) for column in contributions.values()]
     layers = []
     for layer in zip(*padded):
-        positions, coeffs = zip(*layer)
-        coeffs = np.array(coeffs, dtype=complex)
-        layers.append((np.array(positions, dtype=np.intp), coeffs.real, coeffs.imag))
+        positions, branches = zip(*layer)
+        layer_coeffs = coeffs[..., branches]
+        layers.append((np.array(positions, dtype=np.intp), layer_coeffs.real, layer_coeffs.imag))
     return ApplyPlan(tuple(contributions), tuple(layers))
 
 
 def apply_plan(plan: ApplyPlan, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary image accumulators in ``plan.keys`` order, one row per
-    row of ``re`` and ``im``, exact zeros not yet dropped.
+    """Real and imaginary image accumulators in ``plan.keys`` order, exact
+    zeros not yet dropped: one stack per planned operator, of one row per
+    row of ``re`` and ``im``, or a single stack when the plan has no layers.
 
     A row holds the source amplitudes in the planned order, then one 0.0
     for the padding.  Each layer is one pass of apply_index's acc + amp *
     coeff from 0j, the product written out as CPython computes it; numpy's
     complex multiply may round otherwise.
     """
-    acc_re, acc_im = np.zeros((2, len(re), len(plan.keys)))
+    acc_re, acc_im = np.zeros((2, 1, len(re), len(plan.keys)))
     for positions, c_re, c_im in plan.layers:
         a_re, a_im = re[:, positions], im[:, positions]
         acc_re = acc_re + (a_re * c_re - a_im * c_im)

@@ -337,6 +337,31 @@ def test_tabulate_adds_left_to_right_over_many_keys():
         _assert_same_values(column, expected)
 
 
+def test_tabulate_crosses_a_block_boundary_in_the_callers_op_order():
+    """1500 times run as two blocks; x and p share a plan while H, listed
+    between them, has its own, and the columns keep the order of ops."""
+    rank = 16
+    state = coherent_series(CoherentSpec(0.8 - 0.6j, PARAMS, rank)).state
+    ops = [position(PARAMS, rank), hamiltonian(PARAMS, rank), momentum(PARAMS, rank)]
+    times = list(np.linspace(-7.0, 11.0, 1500))
+    got = tabulate(state, ops, times, PARAMS)
+    want = _expectation_loop(state, ops, times, PARAMS)
+    assert len(got) == len(want) == 3
+    for column, expected in zip(got, want):
+        _assert_same_values(column, expected)
+
+
+def test_tabulate_refuses_a_zero_norm_before_a_later_phase_overflow():
+    """Each time is refused in turn: the zero norm at t = 0, whose subnormal
+    amplitudes square to 0, before the phase past 2**26 rad at t = 1e6."""
+    state = RegisterState(12, {1 << n: 5e-324 for n in range(4)})
+    params = PhysParams(1.0, 10.0, 1.0)
+    ops, times = [hamiltonian(params, 12)], [0.0, 1e6]
+    want = _outcome(lambda: _expectation_loop(state, ops, times, params))
+    assert want[0] is ZeroVectorError
+    assert _outcome(lambda: tabulate(state, ops, times, params)) == want
+
+
 def test_tabulate_skips_a_key_the_image_does_not_store():
     """P0 - P0 sends an infinite amplitude to inf - inf, a NaN the image does
     not store; inner_product skips that key rather than adding its NaN."""

@@ -768,33 +768,42 @@ def test_plan_reproduces_indexed_apply(data):
     """A plan over a key order gives apply_index's image for each row of
     amplitudes on those keys: the same dict, key order and zero signs, on
     mixed-mask lists whose keys gather different numbers of contributions,
-    whether the row runs alone or among several."""
+    whether the row runs alone or among several, for each of two operators
+    of one branch shape and other coeffs that share the plan."""
     rank = data.draw(st.integers(3, 10))
-    branches = []
+    ops: tuple[list, list] = ([], [])
     for kind in data.draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6)):
-        weight = data.draw(st.sampled_from(_SIGNED_WEIGHTS))
-        branches += [(m, v, f, weight * c) for m, v, f, c in _draw_piece(data, kind, rank)]
+        piece = _draw_piece(data, kind, rank)
+        for branches in ops:
+            weight = data.draw(st.sampled_from(_SIGNED_WEIGHTS))
+            branches += [(m, v, f, weight * c) for m, v, f, c in piece]
     keys = data.draw(st.lists(
         st.one_of(st.integers(0, rank - 1).map(lambda n: 1 << n), st.integers(0, (1 << rank) - 1)),
         min_size=1, max_size=8, unique=True,
     ))
     row = st.lists(_AMPS.filter(bool), min_size=len(keys), max_size=len(keys))
     rows = data.draw(st.lists(row, min_size=1, max_size=4))
-    index = index_branches(branches)
-    plan = plan_index(index, keys)
+    weights = [[c for *_, c in branches] for branches in ops]
+    plan = plan_index(index_branches(ops[0]), keys, weights)
 
     def run(rows):
+        """Each op's image of each row; a plan with no layers has one stack for all."""
         amps = np.array([[*row, 0j] for row in rows])
-        image_re, image_im = apply_plan(plan, amps.real, amps.imag)
-        return [list(map(complex, r, i)) for r, i in zip(image_re.tolist(), image_im.tolist())]
+        shape = (2, len(ops), len(rows), len(plan.keys))
+        image_re, image_im = np.broadcast_to(apply_plan(plan, amps.real, amps.imag), shape)
+        return [
+            [list(map(complex, r, i)) for r, i in zip(op_re, op_im)]
+            for op_re, op_im in zip(image_re.tolist(), image_im.tolist())
+        ]
 
-    for amplitudes, alone, among in zip(rows, (run([r])[0] for r in rows), run(rows)):
-        state = RegisterState(rank, dict(zip(keys, amplitudes)))
-        want = apply_index(rank, index, state).amplitudes
-        for image in (alone, among):
-            got = {key: value for key, value in zip(plan.keys, image) if abs(value) > 0.0}
-            assert got == want
-            assert list(got) == list(want)
-            for key, value in got.items():
-                assert math.copysign(1, value.real) == math.copysign(1, want[key].real)
-                assert math.copysign(1, value.imag) == math.copysign(1, want[key].imag)
+    for branches, alone, among in zip(ops, zip(*(run([r]) for r in rows)), run(rows)):
+        for amplitudes, (image_alone,), image_among in zip(rows, alone, among):
+            state = RegisterState(rank, dict(zip(keys, amplitudes)))
+            want = apply_index(rank, index_branches(branches), state).amplitudes
+            for image in (image_alone, image_among):
+                got = {key: value for key, value in zip(plan.keys, image) if abs(value) > 0.0}
+                assert got == want
+                assert list(got) == list(want)
+                for key, value in got.items():
+                    assert math.copysign(1, value.real) == math.copysign(1, want[key].real)
+                    assert math.copysign(1, value.imag) == math.copysign(1, want[key].imag)

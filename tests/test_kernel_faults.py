@@ -85,6 +85,14 @@ def _expm_i_transposed(h):
     return (u * np.exp(1j * w)) @ u.T
 
 
+def _first_weights_for_all(plan_index):
+    def faulty(index, sources, weights):
+        rows = list(weights)
+        return plan_index(index, sources, rows[:1] * len(rows))
+
+    return faulty
+
+
 # name -> (module, attribute, the faulty attribute from the original one)
 FAULTS = {
     "compose-keeps-contradictions": (
@@ -113,6 +121,7 @@ FAULTS = {
             gates.ApplyPlan(plan.keys, plan.layers[:-1]), re, im
         ),
     ),
+    "plan-weights-all-as-first": (gates, "plan_index", _first_weights_for_all),
     "series-without-factorial": (coherent, "coherent_series", _series_without_factorial),
     "expm-uses-transpose": (coherent, "_expm_i", lambda _: _expm_i_transposed),
 }
@@ -129,6 +138,8 @@ FAILING = {
     },
     "tabulate-time-reversed": {"coherent-dynamics"},
     "apply-plan-drops-last-layer": {"coherent-dynamics"},
+    # x and p share a plan, so p is tabulated with x's coefficients
+    "plan-weights-all-as-first": {"coherent-dynamics"},
     "series-without-factorial": {"coherent-states", "coherent-dynamics"},
     # verify's blind spot: both sides of gateform-exponential and
     # dense-exponential share the exponential, and series-vs-displacement reads
