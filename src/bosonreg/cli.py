@@ -28,7 +28,7 @@ from .bosonic import PhysParams, gate_decomposition, number_state
 from .checks import MUTATIONS, VerifyConfig, algebra_groups, run_criteria
 from .coherent import CoherentSpec, coherent_series, displacement_generator_gateform, trajectory
 from .errors import BosonRegError
-from .gates import CircuitPair, circuit_to_json_obj
+from .gates import CircuitPair, circuit_to_json_text
 from .register import EventuallyPeriodicSequence, computational_map, continuum_map
 
 __all__ = ["main", "parse_complex"]
@@ -190,16 +190,16 @@ def _cmd_decompose(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
         if args.z is not None:
             raise _UsageError("--z applies only to decompose displacement")
         pair = gate_decomposition(args.kind, params, args.rank)
-    obj["full"], obj["reduced"] = _pair_to_json_objs(pair)
+    obj["full"], obj["reduced"] = _pair_to_json_text(pair)
     return True, obj
 
 
-def _pair_to_json_objs(pair: CircuitPair) -> tuple[dict, dict]:
-    """Both circuits as JSON values through one memo, so a placement or factor
-    tuple the reduced circuit shares with the full one has one JSON value in
-    both halves, and ``jsonio.dumps`` writes its text once."""
+def _pair_to_json_text(pair: CircuitPair) -> tuple[jsonio.Text, jsonio.Text]:
+    """Both circuits as JSON text through one memo, so the text of a placement
+    or factor tuple the reduced circuit shares with the full one is written
+    once for both halves."""
     memo: dict = {}
-    return circuit_to_json_obj(pair.full, memo), circuit_to_json_obj(pair.reduced, memo)
+    return tuple(jsonio.Text(circuit_to_json_text(c, memo)) for c in (pair.full, pair.reduced))
 
 
 # --- evolve ---------------------------------------------------------------

@@ -74,7 +74,7 @@ __all__ = [
     "CircuitPair",
     "apply_circuit",
     "circuit_to_matrix",
-    "circuit_to_json_obj",
+    "circuit_to_json_text",
     "circuit_from_json_obj",
     "cnot_matrix",
     "transpose_theta_matrix",
@@ -441,26 +441,28 @@ def _placement_to_obj(p: GatePlacement) -> dict:
     return {"type": "T", "a": p.a, "b": p.b, "theta": float(p.theta)}
 
 
-def circuit_to_json_obj(circuit: Circuit, memo: dict[int, object] | None = None) -> dict:
-    """The circuit as JSON values, in one pass over each term's factors.
+def circuit_to_json_text(circuit: Circuit, memo: dict[int, str] | None = None) -> str:
+    """The circuit as compact JSON text, numbers written as ``jsonio`` writes them.
 
-    A placement object gets one factor dict the first time it is seen, and a
-    factor tuple one list, each shared by every term that holds the object,
-    so ``jsonio.dumps`` writes its text once.  Calls that pass one ``memo``
-    (id() of a placement or factor tuple -> its JSON value) share them across
-    circuits; those circuits must outlive the memo.
+    Each distinct placement object's factor dict is written once by
+    ``jsonio.dumps``, and each distinct factor tuple's list once, reused by
+    every term that holds it.  Calls that pass one ``memo`` (id() of a
+    placement or factor tuple -> its text) share that text across circuits;
+    those circuits must outlive it.
     """
     memo = {} if memo is None else memo
+    fmt = jsonio.fmt_float
     terms = []
     for term in circuit.terms:
         factors = memo.get(id(term.factors))
         if factors is None:
-            factors = memo[id(term.factors)] = [
-                memo.get(id(p)) or memo.setdefault(id(p), _placement_to_obj(p))
+            factors = memo[id(term.factors)] = "[" + ",".join([
+                memo.get(id(p)) or memo.setdefault(id(p), jsonio.dumps(_placement_to_obj(p)))
                 for p in term.factors
-            ]
-        terms.append({"coeff": {"re": term.coeff.real, "im": term.coeff.imag}, "factors": factors})
-    return {"rank": circuit.rank, "terms": terms}
+            ]) + "]"
+        re, im = fmt(term.coeff.real), fmt(term.coeff.imag)
+        terms.append(f'{{"coeff":{{"re":{re},"im":{im}}},"factors":{factors}}}')
+    return f'{{"rank":{circuit.rank},"terms":[{",".join(terms)}]}}'
 
 
 def _placement_from_obj(obj: Mapping) -> GatePlacement:

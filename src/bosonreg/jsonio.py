@@ -4,10 +4,11 @@ Every float is written with 17 significant digits so output is reproducible
 across runs and machines.  Parsing it back gives an equal value, but a whole
 float comes back as an int (``-0.0`` is written ``-0``, losing its sign).
 Strings and keys are quoted by the standard library's ASCII encoder, as
-``json.dumps`` quotes them.  Parsing is delegated to the standard library;
-the parsers of this package read fields through `required_fields`,
-`integer` and `number`, which refuse a missing or mistyped value rather
-than coerce it.
+``json.dumps`` quotes them; a `Text` (JSON text written elsewhere, such as a
+circuit's) is emitted as it is.  Parsing is delegated to the standard
+library; the parsers of this package read fields through `required_fields`,
+`integer` and `number`, which refuse a missing or mistyped value rather than
+coerce it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Iterator
 
-__all__ = ["dumps", "loads", "fmt_float", "required_fields", "integer", "number"]
+__all__ = ["Text", "dumps", "loads", "fmt_float", "required_fields", "integer", "number"]
 
 
 def fmt_float(x: float) -> str:
@@ -44,37 +45,33 @@ def _kind(obj: Any) -> type:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+class Text(str):
+    """JSON text already written, which `dumps` emits as it is."""
+
+
 def dumps(obj: Any) -> str:
     """Compact JSON text of nested dicts, lists, tuples, strings and numbers.
 
     Values of the exact built-in types dispatch on ``type(obj)``; bool, None
-    and subclasses (``np.float64``, say) are first mapped to their kind.
-    Each nesting level is joined on its own, so no list of the whole
-    document's pieces is ever held.  The text of each dict, list or tuple
-    object is kept until the call returns and reused wherever the object
-    recurs, so a shared object is written once per call.
+    and subclasses (``np.float64``, say) are first mapped to their kind.  A
+    `Text` is written as it is, and any other string is quoted.  Each nesting
+    level is joined on its own, so no list of the whole document's pieces is
+    ever held; an object that recurs is written at every place it occurs.
     """
-    return _dumps(obj, {}, [])
+    return _dumps(obj)
 
 
-def _dumps(obj: Any, written: dict[int, str], held: list) -> str:
-    # written: id() -> text of each container so far; held keeps those
-    # containers alive, so no other object can take one of their ids
+def _dumps(obj: Any) -> str:
+    # the recursion lives here, so wrapping dumps sees one call per document
     kind = type(obj)
     if kind not in _EXACT:
+        if kind is Text:
+            return str(obj)
         kind = _kind(obj)
-    if kind is dict or kind is list or kind is tuple:
-        text = written.get(id(obj))
-        if text is None:
-            if kind is dict:
-                items = [_quote(str(k)) + ":" + _dumps(v, written, held) for k, v in obj.items()]
-                text = "{" + ",".join(items) + "}"
-            else:  # a recurring item is looked up here, without a call
-                items = [written.get(id(v)) or _dumps(v, written, held) for v in obj]
-                text = "[" + ",".join(items) + "]"
-            written[id(obj)] = text
-            held.append(obj)
-        return text
+    if kind is dict:
+        return "{" + ",".join([_quote(str(k)) + ":" + _dumps(v) for k, v in obj.items()]) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ",".join([_dumps(v) for v in obj]) + "]"
     if kind is str:
         return _quote(obj)
     if kind is int:

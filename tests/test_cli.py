@@ -16,12 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bosonreg
-from bosonreg import cli
+from bosonreg import cli, gates, jsonio
 from bosonreg.cli import main, parse_complex
 from bosonreg.bosonic import PhysParams, gate_decomposition, hamiltonian, momentum, position
 from bosonreg.checks import MUTATIONS
 from bosonreg.coherent import CoherentSpec, coherent_series, evolve, expectation
-from bosonreg.gates import circuit_from_json_obj, circuit_to_json_obj
+from bosonreg.gates import circuit_from_json_obj, circuit_to_json_text
 from bosonreg.jsonio import fmt_float
 
 
@@ -277,33 +277,50 @@ def test_decompose_output_is_pinned(capsys, argv, digest):
 
 
 @pytest.mark.parametrize("kind", ["position", "momentum"])
-def test_decompose_halves_share_factor_dicts(kind):
-    """A placement the full and reduced circuits share maps to one factor
-    dict in both halves, and each half holds the values it holds alone."""
+def test_decompose_writes_each_placement_once(monkeypatch, kind):
+    """Across both halves, jsonio.dumps writes each distinct placement
+    object's factor dict once, and the halves are the texts each circuit
+    has when written alone."""
     pair = gate_decomposition(kind, PhysParams(), 8)
-    halves = cli._pair_to_json_objs(pair)
-    dicts = {}
-    for circuit, obj in zip((pair.full, pair.reduced), halves):
-        assert obj == circuit_to_json_obj(circuit)
-        for term, term_obj in zip(circuit.terms, obj["terms"]):
-            for placement, factor in zip(term.factors, term_obj["factors"]):
-                assert dicts.setdefault(id(placement), factor) is factor
-    shared = {id(p) for t in pair.full.terms for p in t.factors} & {
-        id(p) for t in pair.reduced.terms for p in t.factors
-    }
-    assert shared and shared <= dicts.keys()
+    written = []
+    dumps = jsonio.dumps
+    monkeypatch.setattr(jsonio, "dumps", lambda obj: written.append(obj) or dumps(obj))
+    halves = cli._pair_to_json_text(pair)
+    monkeypatch.undo()
+    placements = {id(p): p for c in (pair.full, pair.reduced) for t in c.terms for p in t.factors}
+    assert len(written) == len(placements)
+    assert sorted(map(dumps, written)) == sorted(
+        dumps(gates._placement_to_obj(p)) for p in placements.values()
+    )
+    for circuit, text in zip((pair.full, pair.reduced), halves):
+        assert type(text) is jsonio.Text
+        assert text == circuit_to_json_text(circuit)
 
 
 @pytest.mark.parametrize("kind", ["position", "momentum"])
-def test_decompose_halves_share_factor_lists(kind):
-    """Each reduced term holds the factor list of the full T term whose
-    factor tuple it shares, so its text is written once."""
+def test_decompose_reduced_terms_reuse_full_factor_text(monkeypatch, kind):
+    """Each reduced term's factor text is the str object written for the
+    full T term whose factor tuple it shares, so the reduced half writes no
+    factor text of its own."""
     pair = gate_decomposition(kind, PhysParams(), 8)
-    full, reduced = cli._pair_to_json_objs(pair)
-    lists = {id(t.factors): obj["factors"] for t, obj in zip(pair.full.terms, full["terms"])}
-    assert len(reduced["terms"]) == len(pair.reduced.terms) == 7
-    for term, obj in zip(pair.reduced.terms, reduced["terms"]):
-        assert obj["factors"] is lists[id(term.factors)]
+    memos = []
+    write = cli.circuit_to_json_text
+
+    def spy(circuit, memo):
+        text = write(circuit, memo)
+        memos.append(dict(memo))
+        return text
+
+    monkeypatch.setattr(cli, "circuit_to_json_text", spy)
+    _, reduced = cli._pair_to_json_text(pair)
+    after_full, after_both = memos
+    assert after_both == after_full
+    t_terms = {id(t.factors) for t in pair.full.terms if any(p.kind == "T" for p in t.factors)}
+    assert len(pair.reduced.terms) == len(t_terms) == 7
+    for term in pair.reduced.terms:
+        assert id(term.factors) in t_terms
+        assert after_both[id(term.factors)] is after_full[id(term.factors)]
+        assert after_full[id(term.factors)] in reduced
 
 
 def test_evolve_at_rest(capsys):

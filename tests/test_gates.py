@@ -1,6 +1,7 @@
 """CNOT and transpose gates, circuits, and their JSON form."""
 
 import cmath
+import json
 import math
 import re
 
@@ -29,7 +30,7 @@ from bosonreg.gates import (
     apply_plan,
     circuit_branches,
     circuit_from_json_obj,
-    circuit_to_json_obj,
+    circuit_to_json_text,
     circuit_to_matrix,
     cnot,
     cnot_matrix,
@@ -54,7 +55,7 @@ def _one_gate(rank: int, placement) -> Circuit:
 
 def _json_round_trip(circuit: Circuit) -> Circuit:
     """Write the circuit as JSON text and parse it back, as the CLI does."""
-    return circuit_from_json_obj(jsonio.loads(jsonio.dumps(circuit_to_json_obj(circuit))))
+    return circuit_from_json_obj(jsonio.loads(circuit_to_json_text(circuit)))
 
 
 def test_cnot_key_action():
@@ -195,7 +196,7 @@ def test_circuit_json_schema():
             ),
         ),
     )
-    assert circuit_to_json_obj(c) == {
+    assert jsonio.loads(circuit_to_json_text(c)) == {
         "rank": 2,
         "terms": [
             {
@@ -353,7 +354,7 @@ def test_parse_checks_each_placement_once(monkeypatch, half):
     """A parse checks each distinct local or cnot factor once and each T
     factor once, not every factor of every term."""
     circuit = getattr(gate_decomposition("position", PhysParams(1.3, 0.8, 1.1), 64), half)
-    obj = jsonio.loads(jsonio.dumps(circuit_to_json_obj(circuit)))
+    obj = jsonio.loads(circuit_to_json_text(circuit))
     factors = [f for t in obj["terms"] for f in t["factors"]]
     t_factors = sum(f["type"] == "T" for f in factors)
     distinct = {tuple(sorted(f.items())) for f in factors if f["type"] != "T"}
@@ -507,30 +508,76 @@ def test_parse_takes_whole_numbers_written_as_ints():
     assert _json_round_trip(circuit) == circuit
 
 
+def _factor_obj(p) -> dict:
+    """A placement's factor dict, written out independently of gates."""
+    if p.kind == "local":
+        return {"type": "local", "site": p.site, "op": p.op.name.replace("PLUS", "+")}
+    if p.kind == "cnot":
+        return {"type": "cnot", "a": p.a, "b": p.b}
+    return {"type": "T", "a": p.a, "b": p.b, "theta": p.theta}
+
+
 def _fresh_json_obj(circuit: Circuit) -> dict:
     """The emitter's form with a new factor dict for every factor."""
-    def factor(p):
-        if p.kind == "local":
-            return {"type": "local", "site": p.site, "op": p.op.name.replace("PLUS", "+")}
-        if p.kind == "cnot":
-            return {"type": "cnot", "a": p.a, "b": p.b}
-        return {"type": "T", "a": p.a, "b": p.b, "theta": p.theta}
-
     return {
         "rank": circuit.rank,
         "terms": [
             {
                 "coeff": {"re": t.coeff.real, "im": t.coeff.imag},
-                "factors": [factor(p) for p in t.factors],
+                "factors": [_factor_obj(p) for p in t.factors],
             }
             for t in circuit.terms
         ],
     }
 
 
-@pytest.mark.parametrize("rank", [2, 17, 64])
+def _reference_text(circuit: Circuit) -> str:
+    """The two-pass writer the text writer replaced: JSON values with one
+    dict per placement object and one list per factor tuple, then a dumps
+    that writes each dict, list or tuple object once per call and reuses
+    its text wherever the object recurs."""
+    memo: dict = {}
+    terms = []
+    for term in circuit.terms:
+        factors = memo.get(id(term.factors))
+        if factors is None:
+            factors = memo[id(term.factors)] = [
+                memo.get(id(p)) or memo.setdefault(id(p), _factor_obj(p)) for p in term.factors
+            ]
+        terms.append({"coeff": {"re": term.coeff.real, "im": term.coeff.imag}, "factors": factors})
+    return _memo_dumps({"rank": circuit.rank, "terms": terms}, {})
+
+
+def _memo_dumps(obj, written: dict) -> str:
+    if isinstance(obj, (dict, list, tuple)):
+        text = written.get(id(obj))
+        if text is None:
+            if isinstance(obj, dict):
+                items = (json.dumps(str(k)) + ":" + _memo_dumps(v, written) for k, v in obj.items())
+                text = "{" + ",".join(items) + "}"
+            else:
+                text = "[" + ",".join(_memo_dumps(v, written) for v in obj) + "]"
+            written[id(obj)] = text
+        return text
+    if isinstance(obj, float):
+        return jsonio.fmt_float(obj)
+    return json.dumps(obj)
+
+
+def _assert_writes_as_reference(circuit: Circuit) -> str:
+    """The text is the reference's, and parses back to a circuit with the
+    original's branches."""
+    text = circuit_to_json_text(circuit)
+    assert text == _reference_text(circuit) == jsonio.dumps(_fresh_json_obj(circuit))
+    assert circuit_branches(circuit_from_json_obj(jsonio.loads(text))) == circuit_branches(circuit)
+    return text
+
+
+@pytest.mark.parametrize("rank", [2, 3, 17, 64])
 @pytest.mark.parametrize("kind", ["position", "momentum", "displacement"])
 def test_shared_factor_dicts_match_fresh_form(kind, rank):
+    """Writing each shared placement and factor tuple once gives the bytes
+    of writing a fresh factor dict for every factor."""
     params = PhysParams(1.3, 0.8, 1.1)
     if kind == "displacement":
         spec = CoherentSpec(-0.156 + 0.485j, params, rank, allow_truncation_risk=True)
@@ -538,12 +585,37 @@ def test_shared_factor_dicts_match_fresh_form(kind, rank):
     else:
         pair = gate_decomposition(kind, params, rank)
     for circuit in (pair.full, pair.reduced):
-        obj = circuit_to_json_obj(circuit)
-        assert obj == _fresh_json_obj(circuit)
-        placements = {id(p) for t in circuit.terms for p in t.factors}
-        dicts = {id(f) for t in obj["terms"] for f in t["factors"]}
-        assert len(dicts) == len(placements)
+        _assert_writes_as_reference(circuit)
         assert _json_round_trip(circuit) == circuit
+
+
+@pytest.mark.parametrize("rank", [2, 64])
+def test_resting_displacement_writes_no_terms(rank):
+    pair = displacement_generator_gateform(CoherentSpec(0j, PhysParams(), rank))
+    for circuit in (pair.full, pair.reduced):
+        assert _assert_writes_as_reference(circuit) == f'{{"rank":{rank},"terms":[]}}'
+
+
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.1)
+
+
+@pytest.mark.parametrize("theta", [-0.0, 0.0, 5e-324, math.pi / 2, -math.pi / 2])
+def test_text_writer_matches_reference_on_hand_built_circuits(theta):
+    """Every local op, cnot and T(theta), coefficients with signed zero,
+    subnormal and huge parts, and terms that share one factor tuple."""
+    ops = tuple(local(site, op) for site, op in enumerate(gates._OP_NAMES))
+    shared = (cnot(2, 5), transpose_theta(7, 1, theta), *ops, cnot_transpose(0, 3))
+    terms = [CircuitTerm(complex(re, im), shared) for re in _EDGE_FLOATS for im in _EDGE_FLOATS]
+    terms += [
+        CircuitTerm(1j, (transpose_theta(0, 1, theta), transpose_theta(0, 1, -theta))),
+        CircuitTerm(-0.5, ()),
+        CircuitTerm(2, ops[::-1]),
+    ]
+    circuit = Circuit(8, terms)
+    assert all(term.factors is shared for term in circuit.terms[:-3])
+    text = _assert_writes_as_reference(circuit)
+    assert text.startswith('{"rank":8,"terms":[{"coeff":{"re":-0,"im":-0},"factors":[')
+    assert text.count('"type":"T"') == len(_EDGE_FLOATS) ** 2 + 2
 
 
 def _factor_branches(p) -> tuple:

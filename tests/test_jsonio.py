@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bosonreg.jsonio import dumps, fmt_float, integer, number, required_fields
+from bosonreg.jsonio import Text, dumps, fmt_float, integer, number, required_fields
 
 
 def _reference(obj) -> str:
@@ -89,6 +89,22 @@ def test_containers_made_while_writing_keep_their_own_text():
     doc = [_FreshItems(), {"k": _FreshItems()}]
     fresh = "[[0],[1],[2],[3],[4],[5]]"
     assert dumps(doc) == _reference(doc) == f'[{fresh},{{"k":{fresh}}}]'
+
+
+class _OtherStr(str):
+    pass
+
+
+def test_text_is_written_as_it_is_and_other_strings_are_quoted():
+    raw = '{"a":[1,-0],"b":"x"}'
+    assert dumps(Text(raw)) == raw and type(dumps(Text(raw))) is str
+    assert dumps([Text(raw), 1]) == f"[{raw},1]"
+    assert dumps({"k": Text(raw)}) == f'{{"k":{raw}}}'
+    quoted = json.dumps(raw)
+    for s in (raw, _OtherStr(raw)):
+        assert dumps(s) == quoted
+        assert dumps([s, 1]) == f"[{quoted},1]"
+        assert dumps({"k": s}) == f'{{"k":{quoted}}}'
 
 
 def _error_type(fn, obj):
