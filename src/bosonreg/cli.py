@@ -195,9 +195,9 @@ def _cmd_decompose(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
 
 
 def _pair_to_json_text(pair: CircuitPair) -> tuple[jsonio.Text, jsonio.Text]:
-    """Both circuits as JSON text through one memo, so the text of a placement
-    or factor tuple the reduced circuit shares with the full one is written
-    once for both halves."""
+    """Both circuits as JSON text through one factor-tuple memo, so each
+    reduced term reuses the factor text of the full term it shares its
+    factor tuple with; a shared placement keeps its own text."""
     memo: dict = {}
     return tuple(jsonio.Text(circuit_to_json_text(c, memo)) for c in (pair.full, pair.reduced))
 

@@ -32,15 +32,17 @@ swap.  Sparse application costs stored amplitudes times distinct masks
 plus the images produced, never 2**R.
 
 A Circuit is a complex-weighted sum of factor products, each factor being a
-single-site operator placement, a CNOT, or a phased transpose.  Within a
-product the rightmost factor acts first.  Circuits are linear maps rather
-than unitaries and serve as the exchange format for operator decompositions.
+single-site operator placement, a CNOT, or a phased transpose; each placement
+object compiles to branches and writes its JSON text once, at first use.
+Within a product the rightmost factor acts first.  Circuits are linear maps
+rather than unitaries and serve as the exchange format for decompositions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -268,7 +270,8 @@ _OPS_BY_NAME = {name: op for op, name in _OP_NAMES.items()}
 
 @dataclass(frozen=True)
 class GatePlacement:
-    """One factor of a circuit term: a local operator, a CNOT, or a T gate."""
+    """One factor of a circuit term: a local operator, a CNOT, or a T gate,
+    which keeps its compiled branches and JSON text from first use on."""
 
     kind: str
     site: int | None = None
@@ -276,6 +279,23 @@ class GatePlacement:
     a: int | None = None
     b: int | None = None
     theta: float | None = None
+
+    def __init__(self, kind, site=None, op=None, a=None, b=None, theta=None) -> None:
+        self.__dict__.update(kind=kind, site=site, op=op, a=a, b=b, theta=theta)
+
+    @cached_property
+    def compiled(self) -> tuple[tuple[Branch, ...], int, int]:
+        """Branches, then the bits a guard (P0, P1: one branch, no flip,
+        weight 1) tests for 0 and for 1; both are 0 for any other factor."""
+        own = _placement_branches(self)
+        if len(own) == 1 and own[0][2:] == (0, 1) and own[0][1] in (0, own[0][0]):
+            return own, own[0][0] ^ own[0][1], own[0][1]
+        return own, 0, 0
+
+    @cached_property
+    def text(self) -> str:
+        """The factor dict as ``jsonio.dumps`` writes it."""
+        return jsonio.dumps(_placement_to_obj(self))
 
 
 def _check_placement(rank: int, p: GatePlacement) -> GatePlacement:
@@ -320,9 +340,8 @@ class CircuitTerm:
     coeff: complex
     factors: tuple[GatePlacement, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", complex(self.coeff))
-        object.__setattr__(self, "factors", tuple(self.factors))
+    def __init__(self, coeff: complex, factors: Iterable[GatePlacement]) -> None:
+        self.__dict__.update(coeff=complex(coeff), factors=tuple(factors))
 
 
 @dataclass(frozen=True)
@@ -381,39 +400,34 @@ def _placement_branches(p: GatePlacement) -> tuple[Branch, ...]:
     raise ValueError(f"unknown placement kind {p.kind!r}")
 
 
-def _compile(p: GatePlacement) -> tuple[tuple[Branch, ...], tuple[int, int] | None]:
-    """A placement's branches, plus its (mask, value) if it is a guard: a
-    factor that only tests bits (P0, P1: one branch, no flip, weight 1)."""
-    own = _placement_branches(p)
-    is_guard = len(own) == 1 and own[0][0] and own[0][2:] == (0, 1)
-    return own, own[0][:2] if is_guard else None
-
-
 def circuit_branches(circuit: Circuit) -> tuple[Branch, ...]:
     """Each term composed rightmost factor first and weighted, in term order.
 
-    A placement object that recurs in the circuit (decompositions and
-    parsed circuits share theirs) is compiled once per call.  Each run of
-    adjacent guards (P0 and P1 factors) is merged into one condition and
-    composed once; a run that asks one bit to be both 0 and 1 drops its term.
+    Each run of adjacent guards (P0 and P1 factors) is kept as the bits it
+    tests for 0 and those it tests for 1, and composed once as one merged
+    condition; a run that asks one bit to be both 0 and 1 drops its term.
     """
-    compiled: dict[int, tuple] = {}
     out: list[Branch] = []
     for term in circuit.terms:
-        branches, mask, value = IDENTITY, 0, 0  # mask, value: the pending guard run
+        branches, zeros, ones = IDENTITY, 0, 0  # zeros, ones: the pending guard run
         for p in reversed(term.factors):
-            own, guard = compiled.get(id(p)) or compiled.setdefault(id(p), _compile(p))
-            if guard:
-                if (value ^ guard[1]) & mask & guard[0]:
-                    break
-                mask, value = mask | guard[0], value | guard[1]
-                continue
-            if mask:
-                branches, mask, value = compose(((mask, value, 0, 1 + 0j),), branches), 0, 0
-            branches = compose(own, branches)
+            own, zero_bits, one_bits = p.compiled
+            if zero_bits:
+                zeros |= zero_bits
+            elif one_bits:
+                ones |= one_bits
+            elif zeros & ones:
+                break
+            else:
+                if zeros or ones:
+                    branches = compose(((zeros | ones, ones, 0, 1 + 0j),), branches)
+                    zeros = ones = 0
+                branches = compose(own, branches)
         else:
-            if mask:
-                branches = compose(((mask, value, 0, 1 + 0j),), branches)
+            if zeros & ones:
+                continue
+            if zeros or ones:
+                branches = compose(((zeros | ones, ones, 0, 1 + 0j),), branches)
             out.extend((m, v, flip, term.coeff * c) for m, v, flip, c in branches)
     return tuple(out)
 
@@ -444,11 +458,10 @@ def _placement_to_obj(p: GatePlacement) -> dict:
 def circuit_to_json_text(circuit: Circuit, memo: dict[int, str] | None = None) -> str:
     """The circuit as compact JSON text, numbers written as ``jsonio`` writes them.
 
-    Each distinct placement object's factor dict is written once by
-    ``jsonio.dumps``, and each distinct factor tuple's list once, reused by
-    every term that holds it.  Calls that pass one ``memo`` (id() of a
-    placement or factor tuple -> its text) share that text across circuits;
-    those circuits must outlive it.
+    Each factor is its placement's ``text``, and each distinct factor
+    tuple's list is one join of those, reused by every term that holds it.
+    Calls that pass one ``memo`` (id() of a factor tuple -> its text) share
+    that text across circuits; those circuits must outlive it.
     """
     memo = {} if memo is None else memo
     fmt = jsonio.fmt_float
@@ -456,10 +469,7 @@ def circuit_to_json_text(circuit: Circuit, memo: dict[int, str] | None = None) -
     for term in circuit.terms:
         factors = memo.get(id(term.factors))
         if factors is None:
-            factors = memo[id(term.factors)] = "[" + ",".join([
-                memo.get(id(p)) or memo.setdefault(id(p), jsonio.dumps(_placement_to_obj(p)))
-                for p in term.factors
-            ]) + "]"
+            factors = memo[id(term.factors)] = "[" + ",".join([p.text for p in term.factors]) + "]"
         re, im = fmt(term.coeff.real), fmt(term.coeff.imag)
         terms.append(f'{{"coeff":{{"re":{re},"im":{im}}},"factors":{factors}}}')
     return f'{{"rank":{circuit.rank},"terms":[{",".join(terms)}]}}'

@@ -82,9 +82,13 @@ class ScaledSiteOp:
         object.__setattr__(self, "op", op)
 
 
+# Each (coefficient, symbol) as built; a complex key finds -0.0 parts as well
+_CANONICAL = {(c, op): ScaledSiteOp(c, op) for c in COEFFICIENTS for op in SiteOp}
+
+
 def _as_scaled(op: ScaledSiteOp | SiteOp) -> ScaledSiteOp:
     if isinstance(op, SiteOp):
-        return ScaledSiteOp(1 + 0j, op)
+        return _CANONICAL[(1 + 0j, op)]
     return op
 
 
@@ -153,10 +157,11 @@ PRODUCT_TABLE = _build_table()
 
 
 def op_product(a: ScaledSiteOp | SiteOp, b: ScaledSiteOp | SiteOp) -> ScaledSiteOp:
-    """Exact product of two scaled site operators."""
+    """Exact product of two scaled site operators, as a prebuilt canonical one."""
     a, b = _as_scaled(a), _as_scaled(b)
     entry = PRODUCT_TABLE[(a.op, b.op)]
-    return ScaledSiteOp(a.coeff * b.coeff * entry.coeff, entry.op)
+    key = (a.coeff * b.coeff * entry.coeff, entry.op)
+    return _CANONICAL.get(key) or ScaledSiteOp(*key)
 
 
 # Per-bit action of each symbol: index by the incoming bit value, get either

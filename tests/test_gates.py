@@ -1,8 +1,10 @@
 """CNOT and transpose gates, circuits, and their JSON form."""
 
 import cmath
+import dataclasses
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -24,6 +26,7 @@ from bosonreg.gates import (
     IDENTITY,
     Circuit,
     CircuitTerm,
+    GatePlacement,
     apply_branches,
     apply_circuit,
     apply_index,
@@ -702,6 +705,148 @@ def test_folded_guard_run_still_weighs_once():
     factors = (local(0, SiteOp.S2), local(0, SiteOp.P0), local(0, SiteOp.S3), local(0, SiteOp.S3))
     circuit = Circuit(2, (CircuitTerm(complex(1, -0.0), factors),))
     _assert_same_signed_branches(circuit_branches(circuit), _per_factor_branches(circuit))
+
+
+def _draw_non_guard(data, rank: int):
+    sites = data.draw(st.lists(st.integers(0, rank - 1), min_size=2, max_size=2, unique=True))
+    kind = data.draw(st.sampled_from(("T", "cnot", "local")))
+    if kind == "local":
+        return local(sites[0], data.draw(st.sampled_from(_LOCAL_OPS)))
+    if kind == "cnot":
+        return cnot(*sites)
+    return transpose_theta(*sites, data.draw(st.sampled_from(_THETAS)))
+
+
+@given(data=st.data())
+def test_guard_runs_match_per_factor_compose_up_to_rank_64(data):
+    """Guard runs on registers up to rank 64, so their 0 and 1 bitsets are
+    multi-digit ints: runs that ask a bit for both 0 and 1, repeated guards,
+    guard-only and empty terms, and non-guards between runs compile as
+    factor by factor, zero signs included."""
+    rank = data.draw(st.integers(2, 64))
+    # a few sites take most guards, so one run often tests one bit twice
+    hot = data.draw(st.lists(st.integers(0, rank - 1), min_size=1, max_size=3, unique=True))
+    site = st.sampled_from(hot) | st.integers(0, rank - 1)
+    shared = {}
+    terms = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        factors = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            for _ in range(data.draw(st.integers(0, 6))):
+                key = (data.draw(site), data.draw(st.sampled_from((SiteOp.P0, SiteOp.P1))))
+                fresh = data.draw(st.booleans())
+                factors.append(local(*key) if fresh else shared.setdefault(key, local(*key)))
+            if data.draw(st.booleans()):
+                factors.append(_draw_non_guard(data, rank))
+        terms.append(CircuitTerm(data.draw(st.sampled_from(_TERM_COEFFS)), factors))
+    circuit = Circuit(rank, terms)
+    _assert_same_signed_branches(circuit_branches(circuit), _per_factor_branches(circuit))
+
+
+def test_guard_run_edge_cases_at_rank_64():
+    p0, p1 = local(63, SiteOp.P0), local(63, SiteOp.P1)
+    terms = [
+        (p0, p1),  # a bit asked for 0 and 1: dropped
+        (local(40, SiteOp.P0), p1, p0),  # the same, not adjacent within one run
+        (local(5, SiteOp.S1), p1, p0),  # the same, flushed at a non-guard
+        (p0, p0, local(40, SiteOp.P0), local(40, SiteOp.P0)),  # repeated guards
+        (),  # the unit
+        (p1, local(63, SiteOp.S1), p0, local(2, SiteOp.P1)),  # a flip between runs
+        (p1, local(63, SiteOp.S1), p1),  # the flip leaves nothing at bit 63 set
+    ]
+    circuit = Circuit(64, tuple(CircuitTerm(complex(1, -0.0), f) for f in terms))
+    got = circuit_branches(circuit)
+    _assert_same_signed_branches(got, _per_factor_branches(circuit))
+    high = 1 << 63
+    assert [b[:3] for b in got] == [
+        (high | 1 << 40, 0, 0),
+        (0, 0, 0),
+        (high | 1 << 2, 1 << 2, high),
+    ]
+
+
+def test_equal_placements_keep_their_own_zero_sign_text():
+    """T(0.0) == T(-0.0), and each writes its own theta, within one circuit
+    and through a memo shared by two circuits."""
+    plus, minus = transpose_theta(0, 1, 0.0), transpose_theta(0, 1, -0.0)
+    assert plus == minus and hash(plus) == hash(minus)
+    both = circuit_to_json_text(Circuit(2, (CircuitTerm(1, (plus,)), CircuitTerm(1, (minus,)))))
+    assert re.findall(r'"theta":(-?0)\b', both) == ["0", "-0"]
+    memo: dict = {}
+    circuits = [Circuit(2, (CircuitTerm(1, (p,)),)) for p in (plus, minus)]  # outlive the memo
+    texts = [circuit_to_json_text(c, memo) for c in circuits]
+    assert [re.findall(r'"theta":(-?0)\b', t) for t in texts] == [["0"], ["-0"]]
+
+
+def test_a_placement_shared_by_two_circuits_is_dumped_once(monkeypatch):
+    written = []
+    dumps = jsonio.dumps
+    monkeypatch.setattr(jsonio, "dumps", lambda obj: written.append(obj) or dumps(obj))
+    shared, other = cnot(0, 1), local(2, SiteOp.S1)
+    first = Circuit(2, (CircuitTerm(1, (shared, shared)),))
+    second = Circuit(3, (CircuitTerm(2, (other, shared)), CircuitTerm(1j, (shared,))))
+    texts = [circuit_to_json_text(c) for c in (first, second, first)]
+    assert written == [{"type": "cnot", "a": 0, "b": 1}, {"type": "local", "site": 2, "op": "S1"}]
+    monkeypatch.undo()
+    assert texts == [_reference_text(c) for c in (first, second, first)]
+
+
+@pytest.mark.parametrize(
+    "placement, change",
+    [
+        (transpose_theta(3, 1, -0.5), {"theta": 0.25}),
+        (cnot(0, 2), {"a": 1}),
+        (local(4, SiteOp.S2), {"op": SiteOp.A}),
+    ],
+    ids=["T", "cnot", "local"],
+)
+def test_cached_placement_is_still_a_plain_frozen_record(placement, change):
+    """Compiling and writing a placement leaves its ==, hash, repr, replace,
+    pickle round trip and frozenness those of its fields alone."""
+    fresh = dataclasses.replace(placement)
+    before = (repr(placement), hash(placement))
+    compiled, text = placement.compiled, placement.text
+    assert placement == fresh
+    assert (repr(placement), hash(placement)) == before == (repr(fresh), hash(fresh))
+    fields = {f.name: getattr(placement, f.name) for f in dataclasses.fields(placement)}
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(placement) == f"GatePlacement({shown})"
+    changed = dataclasses.replace(placement, **change)
+    assert changed == GatePlacement(**{**fields, **change}) != placement
+    assert changed.text == jsonio.dumps(gates._placement_to_obj(changed)) != text
+    assert changed.compiled[0] == gates._placement_branches(changed) != compiled[0]
+    again = pickle.loads(pickle.dumps(placement))
+    assert again == placement and repr(again) == repr(placement) and hash(again) == hash(placement)
+    assert (again.compiled, again.text) == (compiled, text)
+    for name in ("kind", "theta", "compiled", "text"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(placement, name, None)
+
+
+def test_circuit_term_is_still_a_plain_frozen_record():
+    p = cnot(0, 1)
+    term = CircuitTerm(2, [p])
+    assert type(term.coeff) is complex and term.factors == (p,) and type(term.factors) is tuple
+    assert term == CircuitTerm(2 + 0j, (cnot(0, 1),)) and hash(term) == hash(CircuitTerm(2, (p,)))
+    assert repr(term) == f"CircuitTerm(coeff=(2+0j), factors=({p!r},))"
+    changed = dataclasses.replace(term, coeff=-1)
+    assert type(changed.coeff) is complex and changed == CircuitTerm(-1, (p,))
+    assert dataclasses.replace(term, factors=[p, p]).factors == (p, p)
+    assert pickle.loads(pickle.dumps(term)) == term
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        term.coeff = 1
+
+
+def test_a_patched_placement_kernel_reaches_circuits_built_after_it(monkeypatch):
+    def faulty(p):
+        a = 1 << p.a
+        return ((a, 0, 0, 1 + 0j), (a, a, a, 1 + 0j)) if p.kind == "cnot" else original(p)
+
+    original = gates._placement_branches
+    monkeypatch.setattr(gates, "_placement_branches", faulty)
+    assert circuit_branches(_one_gate(2, cnot(0, 1))) == ((1, 0, 0, 1), (1, 1, 1, 1))
+    monkeypatch.undo()
+    assert circuit_branches(_one_gate(2, cnot(0, 1))) == ((1, 0, 0, 1), (1, 1, 2, 1))
 
 
 def test_conjugated_cnot_reduces_to_plain():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bosonreg.qubit import (
     COEFFICIENTS,
+    PRODUCT_TABLE,
     PhaseTransform,
     ScaledSiteOp,
     SiteOp,
@@ -68,6 +69,29 @@ def test_product_associativity_exhaustive():
             ab = op_product(a, b)
             for c in ALL_OPS:
                 assert op_product(ab, c) == op_product(a, op_product(b, c))
+
+
+def test_scaled_products_are_the_constructors_result():
+    """Every scaled pair over the nine symbols and five coefficients gives
+    the constructor's result, with the sign of every coefficient part, and
+    the same object each time."""
+    scaled = [ScaledSiteOp(c, op) for c in COEFFICIENTS for op in ALL_OPS]
+    for a in scaled:
+        for b in scaled:
+            entry = PRODUCT_TABLE[(a.op, b.op)]
+            got = op_product(a, b)
+            want = ScaledSiteOp(a.coeff * b.coeff * entry.coeff, entry.op)
+            assert got == want and got is op_product(a, b), (a, b)
+            parts = [got.coeff.real, got.coeff.imag, want.coeff.real, want.coeff.imag]
+            assert list(np.signbit(parts[:2])) == list(np.signbit(parts[2:])), (a, b)
+    assert op_product(SiteOp.A, SiteOp.A) is op_product(ScaledSiteOp(-1j, SiteOp.P0), SiteOp.P1)
+
+
+def test_product_outside_the_coefficients_is_refused():
+    bad = ScaledSiteOp(1, SiteOp.S1)
+    object.__setattr__(bad, "coeff", 2 + 0j)
+    with pytest.raises(ValueError, match="outside"):
+        op_product(bad, SiteOp.S0)
 
 
 def test_coefficients_stay_in_closed_set():
