@@ -355,7 +355,7 @@ def decomposition_terms(rank: int, weights: Sequence[complex], theta: float) -> 
     w_n {T(n, n+1, theta) - P0 P0 - P1 P1} conjugated by empty projectors on
     all other sites; the reduced form keeps only the T part (no weights, no
     terms).  theta enters only here: verify's theta-sign fault passes -theta.
-    The 2R projector placements are built once and shared by every term.
+    The 2R projector placements are local()'s shared ones, used by every term.
     """
     p0 = [local(j, SiteOp.P0) for j in range(rank)]
     p1 = [local(j, SiteOp.P1) for j in range(rank)]

@@ -34,6 +34,10 @@ plus the images produced, never 2**R.
 A Circuit is a complex-weighted sum of factor products, each factor being a
 single-site operator placement, a CNOT, or a phased transpose; each placement
 object compiles to branches and writes its JSON text once, at first use.
+local() hands out one shared placement per (site, op) for int sites below
+MAX_RANK, so those compile and write once per process.  CNOT and T
+placements are made anew each time: theta is unbounded, and a patched
+_placement_branches must reach those built after the patch.
 Within a product the rightmost factor acts first.  Circuits are linear maps
 rather than unitaries and serve as the exchange format for decompositions.
 """
@@ -50,7 +54,7 @@ import numpy as np
 from . import jsonio
 from .errors import RankMismatchError, RankTooLargeError
 from .qubit import SiteOp, op_action
-from .register import DENSE_MAX_RANK, RegisterState, _check_rank
+from .register import DENSE_MAX_RANK, MAX_RANK, RegisterState, _check_rank
 
 __all__ = [
     "Branch",
@@ -271,7 +275,9 @@ _OPS_BY_NAME = {name: op for op, name in _OP_NAMES.items()}
 @dataclass(frozen=True)
 class GatePlacement:
     """One factor of a circuit term: a local operator, a CNOT, or a T gate,
-    which keeps its compiled branches and JSON text from first use on."""
+    which keeps its compiled branches and JSON text from first use on.
+    local() shares one per in-range (site, op) across the process; CNOT
+    and T placements are per object (see the module docstring)."""
 
     kind: str
     site: int | None = None
@@ -307,7 +313,13 @@ def _check_placement(rank: int, p: GatePlacement) -> GatePlacement:
     return p
 
 
+#: local()'s shared placements, one per (site, op); never changed after import.
+_LOCAL = {(s, op): GatePlacement("local", s, op) for s in range(MAX_RANK) for op in _OP_NAMES}
+
+
 def local(site: int, op: SiteOp) -> GatePlacement:
+    if type(site) is int and 0 <= site < MAX_RANK and (shared := _LOCAL.get((site, op))):
+        return shared
     if site < 0:
         raise ValueError("site must be non-negative")
     if op not in _OP_NAMES:
@@ -455,23 +467,25 @@ def _placement_to_obj(p: GatePlacement) -> dict:
     return {"type": "T", "a": p.a, "b": p.b, "theta": float(p.theta)}
 
 
-def circuit_to_json_text(circuit: Circuit, memo: dict[int, str] | None = None) -> str:
+def circuit_to_json_text(circuit: Circuit, memo: dict[int, tuple] | None = None) -> str:
     """The circuit as compact JSON text, numbers written as ``jsonio`` writes them.
 
     Each factor is its placement's ``text``, and each distinct factor
     tuple's list is one join of those, reused by every term that holds it.
-    Calls that pass one ``memo`` (id() of a factor tuple -> its text) share
-    that text across circuits; those circuits must outlive it.
+    Calls that pass one ``memo`` (id() of a factor tuple -> (that tuple,
+    its text)) share that text across circuits; holding the tuple keeps
+    its id from being reused while the memo lives.
     """
     memo = {} if memo is None else memo
     fmt = jsonio.fmt_float
     terms = []
     for term in circuit.terms:
-        factors = memo.get(id(term.factors))
-        if factors is None:
-            factors = memo[id(term.factors)] = "[" + ",".join([p.text for p in term.factors]) + "]"
+        held = memo.get(id(term.factors))
+        if held is None or held[0] is not term.factors:
+            text = "[" + ",".join([p.text for p in term.factors]) + "]"
+            held = memo[id(term.factors)] = (term.factors, text)
         re, im = fmt(term.coeff.real), fmt(term.coeff.imag)
-        terms.append(f'{{"coeff":{{"re":{re},"im":{im}}},"factors":{factors}}}')
+        terms.append(f'{{"coeff":{{"re":{re},"im":{im}}},"factors":{held[1]}}}')
     return f'{{"rank":{circuit.rank},"terms":[{",".join(terms)}]}}'
 
 

@@ -278,23 +278,49 @@ def test_decompose_output_is_pinned(capsys, argv, digest):
 
 @pytest.mark.parametrize("kind", ["position", "momentum"])
 def test_decompose_writes_each_placement_once(monkeypatch, kind):
-    """Across both halves, jsonio.dumps writes each distinct placement
-    object's factor dict once, and the halves are the texts each circuit
-    has when written alone."""
-    pair = gate_decomposition(kind, PhysParams(), 8)
-    written = []
+    """Across two decompositions written in one process, jsonio.dumps writes
+    no placement's factor dict twice, and the second writes no local
+    placement's dict: local placements are shared per process, so earlier
+    tests may already have written some of them.  Each half is the text its
+    circuit has when written alone."""
     dumps = jsonio.dumps
-    monkeypatch.setattr(jsonio, "dumps", lambda obj: written.append(obj) or dumps(obj))
-    halves = cli._pair_to_json_text(pair)
-    monkeypatch.undo()
-    placements = {id(p): p for c in (pair.full, pair.reduced) for t in c.terms for p in t.factors}
-    assert len(written) == len(placements)
-    assert sorted(map(dumps, written)) == sorted(
-        dumps(gates._placement_to_obj(p)) for p in placements.values()
-    )
-    for circuit, text in zip((pair.full, pair.reduced), halves):
-        assert type(text) is jsonio.Text
-        assert text == circuit_to_json_text(circuit)
+    calls = []
+    for pair in [gate_decomposition(kind, PhysParams(), 8) for _ in range(2)]:
+        written = []
+        monkeypatch.setattr(jsonio, "dumps", lambda obj: written.append(obj) or dumps(obj))
+        halves = cli._pair_to_json_text(pair)
+        monkeypatch.undo()
+        calls.append(written)
+        assert len(set(map(dumps, written))) == len(written)
+        t_placements = {id(p): p for c in (pair.full, pair.reduced)
+                        for t in c.terms for p in t.factors if p.kind == "T"}
+        assert sorted(dumps(d) for d in written if d["type"] == "T") == sorted(
+            dumps(gates._placement_to_obj(p)) for p in t_placements.values()
+        )
+        for circuit, text in zip((pair.full, pair.reduced), halves):
+            assert type(text) is jsonio.Text
+            assert text == circuit_to_json_text(circuit)
+    first, second = calls
+    assert [d for d in second if d["type"] == "local"] == []
+    assert all(d["type"] in ("local", "T") for d in first + second)
+
+
+def test_a_parsed_decompose_reuses_the_decompositions_local_placements(capsys):
+    """The local factors parsed from decompose output are the very objects
+    a decomposition of the same kind and rank holds; T factors are equal
+    but their own objects."""
+    code, out, _ = run(capsys, "decompose", "position", "--rank", "8")
+    assert code == 0
+    obj = json.loads(out)
+    pair = gate_decomposition("position", PhysParams(), 8)
+    for half, made in (("full", pair.full), ("reduced", pair.reduced)):
+        parsed = circuit_from_json_obj(obj[half])
+        assert parsed == made
+        pairs = [(g, m) for gt, mt in zip(parsed.terms, made.terms)
+                 for g, m in zip(gt.factors, mt.factors)]
+        assert all(g is m for g, m in pairs if m.kind == "local")
+        assert all(g is not m for g, m in pairs if m.kind == "T")
+        assert any(m.kind == "local" for _, m in pairs) and any(m.kind == "T" for _, m in pairs)
 
 
 @pytest.mark.parametrize("kind", ["position", "momentum"])
@@ -319,8 +345,9 @@ def test_decompose_reduced_terms_reuse_full_factor_text(monkeypatch, kind):
     assert len(pair.reduced.terms) == len(t_terms) == 7
     for term in pair.reduced.terms:
         assert id(term.factors) in t_terms
-        assert after_both[id(term.factors)] is after_full[id(term.factors)]
-        assert after_full[id(term.factors)] in reduced
+        held = after_full[id(term.factors)]
+        assert after_both[id(term.factors)] is held and held[0] is term.factors
+        assert held[1] in reduced
 
 
 def test_evolve_at_rest(capsys):

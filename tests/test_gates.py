@@ -782,7 +782,8 @@ def test_a_placement_shared_by_two_circuits_is_dumped_once(monkeypatch):
     written = []
     dumps = jsonio.dumps
     monkeypatch.setattr(jsonio, "dumps", lambda obj: written.append(obj) or dumps(obj))
-    shared, other = cnot(0, 1), local(2, SiteOp.S1)
+    # local() shares its placements per process, so a fresh copy has no text yet
+    shared, other = cnot(0, 1), dataclasses.replace(local(2, SiteOp.S1))
     first = Circuit(2, (CircuitTerm(1, (shared, shared)),))
     second = Circuit(3, (CircuitTerm(2, (other, shared)), CircuitTerm(1j, (shared,))))
     texts = [circuit_to_json_text(c) for c in (first, second, first)]
@@ -838,15 +839,72 @@ def test_circuit_term_is_still_a_plain_frozen_record():
 
 
 def test_a_patched_placement_kernel_reaches_circuits_built_after_it(monkeypatch):
-    def faulty(p):
-        a = 1 << p.a
-        return ((a, 0, 0, 1 + 0j), (a, a, a, 1 + 0j)) if p.kind == "cnot" else original(p)
+    """cnot and T placements are made anew by each call, so a kernel patched
+    after earlier ones compiled still reaches those built after it."""
 
+    def faulty(p):
+        if p.kind == "cnot":
+            a = 1 << p.a
+            return ((a, 0, 0, 1 + 0j), (a, a, a, 1 + 0j))
+        return original(transpose_theta(p.a, p.b, -p.theta)) if p.kind == "T" else original(p)
+
+    def t_branches(theta):
+        up = complex(math.cos(theta), math.sin(theta))
+        return ((3, 0, 0, 1), (3, 3, 0, 1), (3, 1, 3, up), (3, 2, 3, up.conjugate()))
+
+    assert circuit_branches(_one_gate(2, transpose_theta(0, 1, 0.5))) == t_branches(0.5)
     original = gates._placement_branches
     monkeypatch.setattr(gates, "_placement_branches", faulty)
     assert circuit_branches(_one_gate(2, cnot(0, 1))) == ((1, 0, 0, 1), (1, 1, 1, 1))
+    assert circuit_branches(_one_gate(2, transpose_theta(0, 1, 0.5))) == t_branches(-0.5)
     monkeypatch.undo()
     assert circuit_branches(_one_gate(2, cnot(0, 1))) == ((1, 0, 0, 1), (1, 1, 2, 1))
+    assert circuit_branches(_one_gate(2, transpose_theta(0, 1, 0.5))) == t_branches(0.5)
+
+
+_PLACED_OPS = [op for op in SiteOp if op is not SiteOp.ZERO]
+
+
+def test_local_shares_one_placement_per_site_and_op():
+    for site in range(64):
+        for op in _PLACED_OPS:
+            p = local(site, op)
+            assert p is local(site, op)
+            assert (p.kind, p.site, p.op) == ("local", site, op) and type(p.site) is int
+
+
+@pytest.mark.parametrize(
+    "site", [64, 1.0, True, np.int64(1)], ids=["64", "float", "bool", "np.int64"]
+)
+def test_local_makes_a_fresh_placement_off_the_shared_table(site):
+    """Sites outside range(64), or not of type int, get a new placement on
+    every call, holding the site as given."""
+    p = local(site, SiteOp.P0)
+    assert p is not local(site, SiteOp.P0) and p == local(site, SiteOp.P0)
+    assert type(p.site) is type(site) and p.site == site
+    if site == 64:
+        with pytest.raises(ValueError, match="site 64 out of range for rank 64"):
+            Circuit(64, (CircuitTerm(1, (p,)),))
+
+
+def test_local_refusals_are_unchanged():
+    with pytest.raises(ValueError, match="site must be non-negative"):
+        local(-1, SiteOp.P0)
+    for site in (0, 64):
+        with pytest.raises(ValueError, match="has no circuit placement"):
+            local(site, SiteOp.ZERO)
+        with pytest.raises(ValueError, match="has no circuit placement"):
+            local(site, "P0")
+
+
+def test_a_memo_never_hands_a_freed_tuples_text_to_a_new_one():
+    """A memo holds each factor tuple it has written, so a tuple made after
+    another was freed cannot take its id and its text."""
+    memo: dict = {}
+    circuit_to_json_text(_one_gate(2, transpose_theta(0, 1, 0.0)), memo)  # freed at once
+    for _ in range(50):
+        text = circuit_to_json_text(_one_gate(2, transpose_theta(0, 1, -0.0)), memo)
+        assert re.findall(r'"theta":(-?0)\b', text) == ["-0"]
 
 
 def test_conjugated_cnot_reduces_to_plain():
