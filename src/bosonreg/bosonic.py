@@ -66,7 +66,7 @@ from .gates import (
     transpose_theta,
 )
 from .qubit import SiteOp
-from .register import MAX_RANK, RegisterState
+from .register import RegisterState, _check_rank
 
 __all__ = [
     "PhysParams",
@@ -147,9 +147,7 @@ class RegisterOperator:
     __slots__ = ("rank", "branches", "_index")
 
     def __init__(self, rank: int, branches: Iterable[Branch]) -> None:
-        if not 1 <= rank <= MAX_RANK:
-            raise ValueError(f"rank must be in [1, {MAX_RANK}], got {rank}")
-        self.rank = rank
+        self.rank = _check_rank(rank)
         self.branches = tuple(branches)
         self._index: BranchIndex | None = None
 

@@ -28,7 +28,7 @@ from .bosonic import PhysParams, gate_decomposition, number_state
 from .checks import MUTATIONS, VerifyConfig, algebra_groups, run_criteria
 from .coherent import CoherentSpec, coherent_series, displacement_generator_gateform, trajectory
 from .errors import BosonRegError
-from .gates import CircuitPair, circuit_to_json_text
+from .gates import circuit_to_json_text
 from .register import EventuallyPeriodicSequence, computational_map, continuum_map
 
 __all__ = ["main", "parse_complex"]
@@ -190,16 +190,9 @@ def _cmd_decompose(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
         if args.z is not None:
             raise _UsageError("--z applies only to decompose displacement")
         pair = gate_decomposition(args.kind, params, args.rank)
-    obj["full"], obj["reduced"] = _pair_to_json_text(pair)
+    halves = (pair.full, pair.reduced)
+    obj["full"], obj["reduced"] = (jsonio.Text(circuit_to_json_text(c)) for c in halves)
     return True, obj
-
-
-def _pair_to_json_text(pair: CircuitPair) -> tuple[jsonio.Text, jsonio.Text]:
-    """Both circuits as JSON text through one factor-tuple memo, so each
-    reduced term reuses the factor text of the full term it shares its
-    factor tuple with; a shared placement keeps its own text."""
-    memo: dict = {}
-    return tuple(jsonio.Text(circuit_to_json_text(c, memo)) for c in (pair.full, pair.reduced))
 
 
 # --- evolve ---------------------------------------------------------------

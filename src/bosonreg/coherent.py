@@ -38,6 +38,7 @@ from .bosonic import (
     BosonicSubspaceVector,
     PhysParams,
     RegisterOperator,
+    _ladder_pair,
     check_transbosonic,
     decomposition_terms,
     embed,
@@ -383,11 +384,7 @@ class Trajectory:
 def trajectory(spec: CoherentSpec, times: np.ndarray) -> Trajectory:
     """Evolve the coherent state and tabulate <x>, <p>, <h> at each time."""
     times = np.asarray(times, dtype=float)
-    # one (raise, lower) pair serves both x and p
-    ladders = (
-        ladder("raise", spec.params, spec.rank),
-        ladder("lower", spec.params, spec.rank),
-    )
+    ladders = _ladder_pair(spec.params, spec.rank)  # one (raise, lower) pair serves x and p
     ops = (
         position(spec.params, spec.rank, ladders),
         momentum(spec.params, spec.rank, ladders),

@@ -35,9 +35,11 @@ A Circuit is a complex-weighted sum of factor products, each factor being a
 single-site operator placement, a CNOT, or a phased transpose; each placement
 object compiles to branches and writes its JSON text once, at first use.
 local() hands out one shared placement per (site, op) for int sites below
-MAX_RANK, so those compile and write once per process.  CNOT and T
-placements are made anew each time: theta is unbounded, and a patched
-_placement_branches must reach those built after the patch.
+MAX_RANK, so those compile and write once per process; the JSON parser
+hands out the same objects.  That table is the only sharing: CNOT and T
+placements are made anew each time, by the parser too, since theta is
+unbounded and a patched _placement_branches must reach those built after
+the patch.
 Within a product the rightmost factor acts first.  Circuits are linear maps
 rather than unitaries and serve as the exchange format for decompositions.
 """
@@ -263,21 +265,14 @@ def site_branches(site: int, op: SiteOp) -> tuple[Branch, ...]:
     return tuple(branches)
 
 
-# Wire mnemonics for local placements; the zero operator has no wire form
-# because a vanishing factor should be dropped with its whole term.
-_OP_NAMES = {
-    SiteOp.P0: "P0", SiteOp.P1: "P1", SiteOp.A: "A", SiteOp.APLUS: "A+",
-    SiteOp.S0: "S0", SiteOp.S1: "S1", SiteOp.S2: "S2", SiteOp.S3: "S3",
-}
-_OPS_BY_NAME = {name: op for op, name in _OP_NAMES.items()}
-
-
 @dataclass(frozen=True)
 class GatePlacement:
     """One factor of a circuit term: a local operator, a CNOT, or a T gate,
     which keeps its compiled branches and JSON text from first use on.
-    local() shares one per in-range (site, op) across the process; CNOT
-    and T placements are per object (see the module docstring)."""
+    local() and the JSON parser share one per in-range (site, op) across
+    the process; CNOT and T placements are per object (see the module
+    docstring).  A local op is written by its wire name, its ``SiteOp``
+    value."""
 
     kind: str
     site: int | None = None
@@ -313,8 +308,12 @@ def _check_placement(rank: int, p: GatePlacement) -> GatePlacement:
     return p
 
 
-#: local()'s shared placements, one per (site, op); never changed after import.
-_LOCAL = {(s, op): GatePlacement("local", s, op) for s in range(MAX_RANK) for op in _OP_NAMES}
+#: local()'s shared placements, one per (site, op), and the same objects
+#: keyed by (site, wire name) for the parser; never changed after import.
+#: The zero operator has no placement: a vanishing factor drops its term.
+_LOCAL = {(s, op): GatePlacement("local", s, op)
+          for s in range(MAX_RANK) for op in SiteOp if op is not SiteOp.ZERO}
+_LOCAL_BY_NAME = {(s, op.value): p for (s, op), p in _LOCAL.items()}
 
 
 def local(site: int, op: SiteOp) -> GatePlacement:
@@ -322,7 +321,7 @@ def local(site: int, op: SiteOp) -> GatePlacement:
         return shared
     if site < 0:
         raise ValueError("site must be non-negative")
-    if op not in _OP_NAMES:
+    if (0, op) not in _LOCAL:
         raise ValueError(f"{op} has no circuit placement")
     return GatePlacement("local", site=site, op=op)
 
@@ -461,31 +460,21 @@ def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
 
 def _placement_to_obj(p: GatePlacement) -> dict:
     if p.kind == "local":
-        return {"type": "local", "site": p.site, "op": _OP_NAMES[p.op]}
+        return {"type": "local", "site": p.site, "op": p.op.value}
     if p.kind == "cnot":
         return {"type": "cnot", "a": p.a, "b": p.b}
     return {"type": "T", "a": p.a, "b": p.b, "theta": float(p.theta)}
 
 
-def circuit_to_json_text(circuit: Circuit, memo: dict[int, tuple] | None = None) -> str:
-    """The circuit as compact JSON text, numbers written as ``jsonio`` writes them.
-
-    Each factor is its placement's ``text``, and each distinct factor
-    tuple's list is one join of those, reused by every term that holds it.
-    Calls that pass one ``memo`` (id() of a factor tuple -> (that tuple,
-    its text)) share that text across circuits; holding the tuple keeps
-    its id from being reused while the memo lives.
-    """
-    memo = {} if memo is None else memo
+def circuit_to_json_text(circuit: Circuit) -> str:
+    """The circuit as compact JSON text, numbers written as ``jsonio`` writes
+    them; each factor is its placement's ``text``."""
     fmt = jsonio.fmt_float
     terms = []
     for term in circuit.terms:
-        held = memo.get(id(term.factors))
-        if held is None or held[0] is not term.factors:
-            text = "[" + ",".join([p.text for p in term.factors]) + "]"
-            held = memo[id(term.factors)] = (term.factors, text)
         re, im = fmt(term.coeff.real), fmt(term.coeff.imag)
-        terms.append(f'{{"coeff":{{"re":{re},"im":{im}}},"factors":{held[1]}}}')
+        factors = ",".join([p.text for p in term.factors])
+        terms.append(f'{{"coeff":{{"re":{re},"im":{im}}},"factors":[{factors}]}}')
     return f'{{"rank":{circuit.rank},"terms":[{",".join(terms)}]}}'
 
 
@@ -493,10 +482,10 @@ def _placement_from_obj(obj: Mapping) -> GatePlacement:
     kind = obj["type"]
     if kind == "local":
         site = jsonio.integer(obj["site"], "site")
-        op = _OPS_BY_NAME.get(obj["op"])
-        if op is None:
+        named = _LOCAL_BY_NAME.get((0, obj["op"]))  # any placement of that op
+        if named is None:
             raise ValueError(f"unknown op {obj['op']!r}")
-        return local(site, op)
+        return local(site, named.op)
     if kind != "cnot" and kind != "T":
         raise ValueError(f"unknown factor type {kind!r}")
     a, b = jsonio.integer(obj["a"], "a"), jsonio.integer(obj["b"], "b")
@@ -506,38 +495,30 @@ def _placement_from_obj(obj: Mapping) -> GatePlacement:
 
 
 def circuit_from_json_obj(obj: Mapping) -> Circuit:
-    """Parse a circuit object; equal factor objects yield one shared placement.
+    """Parse a circuit object.
 
-    A local or cnot factor is parsed and checked against the rank once per
-    call for each distinct value of the fields its kind reads, and the type of
-    each integer field is part of that value.  T factors are parsed every
-    time: 0.0 == -0.0 as a key, so sharing would lose the sign of a zero
-    theta.  The rank and every site must be JSON integers, and theta and the
-    coefficients JSON numbers; those, a missing field, a value of another
-    JSON kind and an unknown name are refused with a ValueError.
+    A local factor with an int site below the rank and a known op name is
+    local()'s shared placement, found by one lookup of (site, op name) and
+    not checked again.  Every other factor (cnot, T, and any local factor
+    that misses) is built and checked against the rank on its own, so equal
+    cnot or T factors parse to equal but distinct objects, and a zero theta
+    keeps its sign.  The rank and every site must be JSON integers, and
+    theta and the coefficients JSON numbers; those, a missing field, a value
+    of another JSON kind and an unknown name are refused with a ValueError.
     """
-    parsed: dict[tuple, GatePlacement] = {}
     terms = []
     # fields are indexed directly, the cheapest read in the per-factor loop;
-    # the block turns the KeyError of a missing one into a ValueError
+    # the block turns the KeyError of a missing one into a ValueError, and
+    # the TypeError of hashing a list site or op into one too
     with jsonio.required_fields():
         rank = _check_rank(jsonio.integer(obj["rank"], "rank"))
         for t in obj["terms"]:
             factors = []
             for p in t["factors"]:
                 kind = p["type"]
-                if kind == "local":
-                    site = p["site"]
-                    key = (kind, site, type(site), p["op"])
-                elif kind == "cnot":
-                    a, b = p["a"], p["b"]
-                    key = (kind, a, b, type(a), type(b))
-                else:  # T, or an unknown type that raises
-                    factors.append(_check_placement(rank, _placement_from_obj(p)))
-                    continue
-                placement = parsed.get(key)
-                if placement is None:
-                    placement = parsed[key] = _check_placement(rank, _placement_from_obj(p))
+                placement = _LOCAL_BY_NAME.get((p["site"], p["op"])) if kind == "local" else None
+                if placement is None or type(p["site"]) is not int or placement.site >= rank:
+                    placement = _check_placement(rank, _placement_from_obj(p))
                 factors.append(placement)
             re, im = jsonio.number(t["coeff"]["re"], "re"), jsonio.number(t["coeff"]["im"], "im")
             terms.append(CircuitTerm(complex(re, im), tuple(factors)))

@@ -82,6 +82,12 @@ def test_register_operator_algebra():
     assert RegisterOperator(rank, IDENTITY).apply(s) == s
 
 
+@pytest.mark.parametrize("rank", [0, 65])
+def test_register_operator_refuses_a_rank_out_of_range(rank):
+    with pytest.raises(ValueError, match=r"rank must be an integer in \[1, 64\]"):
+        RegisterOperator(rank, IDENTITY)
+
+
 _RANK6_OPS = (
     [b_lower(n, 6) for n in range(5)]
     + [b_raise(n, 6) for n in range(5)]

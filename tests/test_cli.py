@@ -278,17 +278,18 @@ def test_decompose_output_is_pinned(capsys, argv, digest):
 
 @pytest.mark.parametrize("kind", ["position", "momentum"])
 def test_decompose_writes_each_placement_once(monkeypatch, kind):
-    """Across two decompositions written in one process, jsonio.dumps writes
-    no placement's factor dict twice, and the second writes no local
-    placement's dict: local placements are shared per process, so earlier
-    tests may already have written some of them.  Each half is the text its
-    circuit has when written alone."""
+    """Across two decompositions written in one process, each half through
+    circuit_to_json_text, jsonio.dumps writes no placement's factor dict
+    twice, and the second writes no local placement's dict: local placements
+    are shared per process, so earlier tests may already have written some
+    of them."""
     dumps = jsonio.dumps
     calls = []
     for pair in [gate_decomposition(kind, PhysParams(), 8) for _ in range(2)]:
         written = []
         monkeypatch.setattr(jsonio, "dumps", lambda obj: written.append(obj) or dumps(obj))
-        halves = cli._pair_to_json_text(pair)
+        for circuit in (pair.full, pair.reduced):
+            circuit_to_json_text(circuit)
         monkeypatch.undo()
         calls.append(written)
         assert len(set(map(dumps, written))) == len(written)
@@ -297,9 +298,6 @@ def test_decompose_writes_each_placement_once(monkeypatch, kind):
         assert sorted(dumps(d) for d in written if d["type"] == "T") == sorted(
             dumps(gates._placement_to_obj(p)) for p in t_placements.values()
         )
-        for circuit, text in zip((pair.full, pair.reduced), halves):
-            assert type(text) is jsonio.Text
-            assert text == circuit_to_json_text(circuit)
     first, second = calls
     assert [d for d in second if d["type"] == "local"] == []
     assert all(d["type"] in ("local", "T") for d in first + second)
@@ -321,33 +319,6 @@ def test_a_parsed_decompose_reuses_the_decompositions_local_placements(capsys):
         assert all(g is m for g, m in pairs if m.kind == "local")
         assert all(g is not m for g, m in pairs if m.kind == "T")
         assert any(m.kind == "local" for _, m in pairs) and any(m.kind == "T" for _, m in pairs)
-
-
-@pytest.mark.parametrize("kind", ["position", "momentum"])
-def test_decompose_reduced_terms_reuse_full_factor_text(monkeypatch, kind):
-    """Each reduced term's factor text is the str object written for the
-    full T term whose factor tuple it shares, so the reduced half writes no
-    factor text of its own."""
-    pair = gate_decomposition(kind, PhysParams(), 8)
-    memos = []
-    write = cli.circuit_to_json_text
-
-    def spy(circuit, memo):
-        text = write(circuit, memo)
-        memos.append(dict(memo))
-        return text
-
-    monkeypatch.setattr(cli, "circuit_to_json_text", spy)
-    _, reduced = cli._pair_to_json_text(pair)
-    after_full, after_both = memos
-    assert after_both == after_full
-    t_terms = {id(t.factors) for t in pair.full.terms if any(p.kind == "T" for p in t.factors)}
-    assert len(pair.reduced.terms) == len(t_terms) == 7
-    for term in pair.reduced.terms:
-        assert id(term.factors) in t_terms
-        held = after_full[id(term.factors)]
-        assert after_both[id(term.factors)] is held and held[0] is term.factors
-        assert held[1] in reduced
 
 
 def test_evolve_at_rest(capsys):

@@ -249,8 +249,9 @@ def test_parsed_zero_theta_keeps_its_sign():
 
 
 def test_parse_keys_each_factor_on_the_fields_its_kind_reads():
-    """Equal local and cnot fields share one placement; stray fields do not split
-    them, and an unknown factor type is still refused."""
+    """A local factor is local()'s shared placement whatever stray fields it
+    carries; equal cnot factors parse as T factors do, equal but distinct;
+    an unknown factor type is still refused."""
     obj = {
         "rank": 3,
         "terms": [
@@ -266,8 +267,8 @@ def test_parse_keys_each_factor_on_the_fields_its_kind_reads():
         ],
     }
     first, second, third, fourth = circuit_from_json_obj(obj).terms[0].factors
-    assert first is second and third is fourth
-    assert (first, third) == (local(1, SiteOp.A), cnot(0, 2))
+    assert first is second is local(1, SiteOp.A)
+    assert third == fourth == cnot(0, 2) and third is not fourth
     obj["terms"][0]["factors"].append({"type": "swap", "a": 0, "b": 1})
     with pytest.raises(ValueError, match="unknown factor type 'swap'"):
         circuit_from_json_obj(obj)
@@ -354,16 +355,15 @@ def test_decompositions_skip_the_placement_walk(monkeypatch):
 
 @pytest.mark.parametrize("half", ["full", "reduced"])
 def test_parse_checks_each_placement_once(monkeypatch, half):
-    """A parse checks each distinct local or cnot factor once and each T
-    factor once, not every factor of every term."""
+    """A parse checks each T factor once and no local factor: those are
+    local()'s shared placements, in range by their lookup."""
     circuit = getattr(gate_decomposition("position", PhysParams(1.3, 0.8, 1.1), 64), half)
     obj = jsonio.loads(circuit_to_json_text(circuit))
     factors = [f for t in obj["terms"] for f in t["factors"]]
     t_factors = sum(f["type"] == "T" for f in factors)
-    distinct = {tuple(sorted(f.items())) for f in factors if f["type"] != "T"}
     calls = _counting_checks(monkeypatch)
     assert circuit_from_json_obj(obj) == circuit
-    assert len(calls) <= len(distinct) + t_factors < len(factors) / 10
+    assert len(calls) == t_factors < len(factors) / 10
 
 
 @pytest.mark.parametrize(
@@ -466,24 +466,55 @@ def test_parse_refuses_missing_fields_and_unknown_names():
             circuit_from_json_obj(obj)
 
 
+_WRONG_KIND = "^a value of the wrong JSON kind: [^\n]+$"
+
+
 @pytest.mark.parametrize(
-    "obj",
+    "obj, message",
     [
-        {"rank": 3, "terms": [{"coeff": {"re": 1, "im": 0},
-                               "factors": [{"type": "local", "site": [0], "op": "P1"}]}]},
-        {"rank": 3, "terms": [{"coeff": {"re": 1, "im": 0},
-                               "factors": [{"type": "cnot", "a": 0, "b": [1]}]}]},
-        {"rank": 3, "terms": [{"coeff": {"re": 1, "im": 0}, "factors": [["local", 0, "P1"]]}]},
-        {"rank": 3, "terms": [1]},
-        {"rank": 3, "terms": [{"coeff": [1, 0], "factors": []}]},
-        {"rank": 3, "terms": {"a": 1}},
+        ({"rank": 3, "terms": [{"coeff": {"re": 1, "im": 0},
+                                "factors": [{"type": "local", "site": [0], "op": "P1"}]}]},
+         _WRONG_KIND),
+        ({"rank": 3, "terms": [{"coeff": {"re": 1, "im": 0},
+                                "factors": [{"type": "cnot", "a": 0, "b": [1]}]}]},
+         r"^b must be an integer, got \[1\]$"),
+        ({"rank": 3, "terms": [{"coeff": {"re": 1, "im": 0}, "factors": [["local", 0, "P1"]]}]},
+         _WRONG_KIND),
+        ({"rank": 3, "terms": [1]}, _WRONG_KIND),
+        ({"rank": 3, "terms": [{"coeff": [1, 0], "factors": []}]}, _WRONG_KIND),
+        ({"rank": 3, "terms": {"a": 1}}, _WRONG_KIND),
     ],
     ids=["list site", "list cnot site", "list factor", "int term", "list coeff", "terms object"],
 )
-def test_parse_refuses_a_value_of_the_wrong_json_kind(obj):
+def test_parse_refuses_a_value_of_the_wrong_json_kind(obj, message):
     """A list, int or object where the layout has another JSON kind is a
-    one-line ValueError, not the TypeError of indexing or hashing it."""
-    with pytest.raises(ValueError, match="^a value of the wrong JSON kind: [^\n]+$"):
+    one-line ValueError, not the TypeError of indexing or hashing it; a cnot
+    site is read as an integer field, so a list there is refused as one."""
+    with pytest.raises(ValueError, match=message):
+        circuit_from_json_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "rank, field, value, message",
+    [
+        (3, "site", 3, "site 3 out of range for rank 3"),
+        (64, "site", 64, "site 64 out of range for rank 64"),
+        (3, "site", -1, "site must be non-negative"),
+        (3, "site", True, "site must be an integer, got True"),
+        (3, "site", 1.0, "site must be an integer, got 1.0"),
+        (3, "op", "0", "unknown op '0'"),
+        (3, "op", "X", "unknown op 'X'"),
+        (3, "op", None, "missing field 'op'"),
+    ],
+    ids=["site rank", "site 64", "site -1", "site True", "site 1.0", "op 0", "op X", "no op"],
+)
+def test_parse_refuses_a_bad_local_factor_after_an_equal_valid_one(rank, field, value, message):
+    """A local factor that misses local()'s shared table is refused with the
+    message of the slow path, though an equal valid factor came before it."""
+    valid = {"type": "local", "site": 1, "op": "P1"}
+    bad = {k: v for k, v in {**valid, field: value}.items() if v is not None}
+    obj = {"rank": rank, "terms": [{"coeff": {"re": 1, "im": 0}, "factors": [valid, bad]}]}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         circuit_from_json_obj(obj)
 
 
@@ -599,6 +630,7 @@ def test_resting_displacement_writes_no_terms(rank):
         assert _assert_writes_as_reference(circuit) == f'{{"rank":{rank},"terms":[]}}'
 
 
+_PLACED_OPS = [op for op in SiteOp if op is not SiteOp.ZERO]
 _EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.1)
 
 
@@ -606,7 +638,7 @@ _EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e3
 def test_text_writer_matches_reference_on_hand_built_circuits(theta):
     """Every local op, cnot and T(theta), coefficients with signed zero,
     subnormal and huge parts, and terms that share one factor tuple."""
-    ops = tuple(local(site, op) for site, op in enumerate(gates._OP_NAMES))
+    ops = tuple(local(site, op) for site, op in enumerate(_PLACED_OPS))
     shared = (cnot(2, 5), transpose_theta(7, 1, theta), *ops, cnot_transpose(0, 3))
     terms = [CircuitTerm(complex(re, im), shared) for re in _EDGE_FLOATS for im in _EDGE_FLOATS]
     terms += [
@@ -767,14 +799,12 @@ def test_guard_run_edge_cases_at_rank_64():
 
 def test_equal_placements_keep_their_own_zero_sign_text():
     """T(0.0) == T(-0.0), and each writes its own theta, within one circuit
-    and through a memo shared by two circuits."""
+    and in two circuits written one after the other."""
     plus, minus = transpose_theta(0, 1, 0.0), transpose_theta(0, 1, -0.0)
     assert plus == minus and hash(plus) == hash(minus)
     both = circuit_to_json_text(Circuit(2, (CircuitTerm(1, (plus,)), CircuitTerm(1, (minus,)))))
     assert re.findall(r'"theta":(-?0)\b', both) == ["0", "-0"]
-    memo: dict = {}
-    circuits = [Circuit(2, (CircuitTerm(1, (p,)),)) for p in (plus, minus)]  # outlive the memo
-    texts = [circuit_to_json_text(c, memo) for c in circuits]
+    texts = [circuit_to_json_text(_one_gate(2, p)) for p in (plus, minus)]
     assert [re.findall(r'"theta":(-?0)\b', t) for t in texts] == [["0"], ["-0"]]
 
 
@@ -862,9 +892,6 @@ def test_a_patched_placement_kernel_reaches_circuits_built_after_it(monkeypatch)
     assert circuit_branches(_one_gate(2, transpose_theta(0, 1, 0.5))) == t_branches(0.5)
 
 
-_PLACED_OPS = [op for op in SiteOp if op is not SiteOp.ZERO]
-
-
 def test_local_shares_one_placement_per_site_and_op():
     for site in range(64):
         for op in _PLACED_OPS:
@@ -895,16 +922,6 @@ def test_local_refusals_are_unchanged():
             local(site, SiteOp.ZERO)
         with pytest.raises(ValueError, match="has no circuit placement"):
             local(site, "P0")
-
-
-def test_a_memo_never_hands_a_freed_tuples_text_to_a_new_one():
-    """A memo holds each factor tuple it has written, so a tuple made after
-    another was freed cannot take its id and its text."""
-    memo: dict = {}
-    circuit_to_json_text(_one_gate(2, transpose_theta(0, 1, 0.0)), memo)  # freed at once
-    for _ in range(50):
-        text = circuit_to_json_text(_one_gate(2, transpose_theta(0, 1, -0.0)), memo)
-        assert re.findall(r'"theta":(-?0)\b', text) == ["-0"]
 
 
 def test_conjugated_cnot_reduces_to_plain():
