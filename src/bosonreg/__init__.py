@@ -8,7 +8,6 @@ with free evolution, and an independent dense-oracle cross-check suite.
 """
 
 from .bosonic import (
-    BosonicSubspaceVector,
     PhysParams,
     RegisterOperator,
     b_lower,

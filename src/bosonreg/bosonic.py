@@ -27,6 +27,11 @@ rank shows up only at the top level: the raising sum simply has no term
 mapping level R-1 up, so canonical commutation relations hold exactly on
 states with no top-level support.
 
+The bosonic block is a plain length-R complex array, level n at index n.
+project(state) reads it off the keys 2**n, embed(coeffs) writes it back as
+a state of rank len(coeffs), and register_block(op) is the R x R matrix of
+op between those keys, one projected column per level.
+
 position and momentum also come as explicit gate decompositions: weighted
 sums of phased transposes T(n, n+1, theta) with projector counterterms,
 theta = 0 for position and pi/2 for momentum.  Dropping the counterterms
@@ -86,7 +91,6 @@ __all__ = [
     "gate_decomposition",
     "number_state",
     "check_transbosonic",
-    "BosonicSubspaceVector",
     "embed",
     "project",
     "register_block",
@@ -411,33 +415,15 @@ def number_state(n: int, params: PhysParams, rank: int) -> RegisterState:
     return state
 
 
-@dataclass(frozen=True)
-class BosonicSubspaceVector:
-    """Length-R coefficient vector over the oscillator levels."""
-
-    coeffs: np.ndarray
-    rank: int
-
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.shape != (self.rank,):
-            raise ValueError(f"expected {self.rank} coefficients, got {coeffs.shape}")
-        object.__setattr__(self, "coeffs", coeffs)
+def embed(coeffs: Sequence[complex]) -> RegisterState:
+    """The register state with level-n coefficient at key 2**n; the rank is len(coeffs)."""
+    return RegisterState(len(coeffs), {1 << n: c for n, c in enumerate(coeffs)})
 
 
-def embed(vec: BosonicSubspaceVector) -> RegisterState:
-    """Place level-n coefficient at key 2**n."""
-    return RegisterState(
-        vec.rank, {1 << n: c for n, c in enumerate(vec.coeffs) if c != 0}
-    )
-
-
-def project(state: RegisterState) -> BosonicSubspaceVector:
-    """Read off the power-of-two amplitudes, discarding the transbosonic rest."""
-    coeffs = np.array(
-        [state.amplitude(1 << n) for n in range(state.rank)], dtype=complex
-    )
-    return BosonicSubspaceVector(coeffs, state.rank)
+def project(state: RegisterState) -> np.ndarray:
+    """The length-R complex array of the amplitudes at keys 2**n; the rest is discarded."""
+    amps = state.amplitudes
+    return np.array([amps.get(1 << n, 0j) for n in range(state.rank)], dtype=complex)
 
 
 def check_transbosonic(state: RegisterState) -> None:
@@ -450,14 +436,9 @@ def check_transbosonic(state: RegisterState) -> None:
 def register_block(op: RegisterOperator) -> np.ndarray:
     """R x R block of a register operator between the power-of-two keys.
 
-    Column n is the operator applied to the basis state at key 2**n, read
-    back at the keys 2**m.  Anything the operator sends off the bosonic
-    basis is invisible here and must be checked separately.
+    Column n is project of the operator applied to the basis state at key
+    2**n.  Anything the operator sends off the bosonic basis is invisible
+    here and must be checked separately.
     """
-    rank = op.rank
-    block = np.zeros((rank, rank), dtype=complex)
-    for n in range(rank):
-        column = op.apply(RegisterState.basis(rank, 1 << n))
-        for m in range(rank):
-            block[m, n] = column.amplitude(1 << m)
-    return block
+    basis = (RegisterState.basis(op.rank, 1 << n) for n in range(op.rank))
+    return np.stack([project(op.apply(b)) for b in basis], axis=1)

@@ -369,9 +369,7 @@ def _canonical_commutators(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
     for _ in range(100):
         coeffs = rng.normal(size=rank - 1) + 1j * rng.normal(size=rank - 1)
         coeffs /= np.linalg.norm(coeffs)
-        state = RegisterState(
-            rank, {1 << n: c for n, c in enumerate(coeffs)}
-        )
+        state = bosonic.embed(np.append(coeffs, 0))  # no top-level support
         ladder_comm = (
             lower.apply(upper.apply(state))
             - upper.apply(lower.apply(state))

@@ -35,7 +35,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bosonic import (
-    BosonicSubspaceVector,
     PhysParams,
     RegisterOperator,
     _ladder_pair,
@@ -53,7 +52,7 @@ from .bosonic import (
 from .errors import NotBosonicError, PhaseOverflowError, TruncationRiskError, ZeroVectorError
 from .gates import CircuitPair, apply_plan, index_branches, plan_index
 from .jsonio import fmt_float
-from .register import RegisterState
+from .register import RegisterState, _check_rank
 
 __all__ = [
     "CoherentSpec",
@@ -88,8 +87,7 @@ class CoherentSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "z", complex(self.z))
-        if not 1 <= self.rank:
-            raise ValueError("rank must be positive")
+        _check_rank(self.rank)
         try:
             mean = abs(self.z) ** 2
         except OverflowError:
@@ -130,14 +128,13 @@ def coherent_series(spec: CoherentSpec) -> CoherentState:
             f"exp(-|z|^2/2) underflows to 0 at |z|^2 = {mean:.3g}, so every amplitude would be 0"
         )
     kept = 0.0
-    amplitudes: dict[int, complex] = {}
+    coeffs = []
     for n in range(spec.rank):
-        if amp != 0:
-            amplitudes[1 << n] = amp
+        coeffs.append(amp)
         kept += abs(amp) ** 2
         amp = amp * spec.z / math.sqrt(n + 1)
     tail = _poisson_tail(mean, spec.rank, abs(amp) ** 2, kept)
-    return CoherentState(RegisterState(spec.rank, amplitudes), tail)
+    return CoherentState(embed(coeffs), tail)
 
 
 def _poisson_tail(mean: float, rank: int, first: float, kept: float) -> float:
@@ -159,9 +156,8 @@ def _poisson_tail(mean: float, rank: int, first: float, kept: float) -> float:
 
 def number_distribution(state: RegisterState) -> np.ndarray:
     """Raw level probabilities |amplitude at key 2**n|^2, unnormalized."""
-    return np.array(
-        [abs(state.amplitude(1 << n)) ** 2 for n in range(state.rank)], dtype=float
-    )
+    # a scalar abs per level: np.abs(z)**2 can differ from it in the last bit
+    return np.array([abs(c) ** 2 for c in project(state).tolist()], dtype=float)
 
 
 def expm_antihermitian(g: np.ndarray) -> np.ndarray:
@@ -211,7 +207,7 @@ def displacement_apply(spec: CoherentSpec, state: RegisterState) -> RegisterStat
     if not is_bosonic_state(state):
         raise NotBosonicError("displacement is defined on the bosonic subspace only")
     u = expm_antihermitian(displacement_generator_block(spec))
-    return embed(BosonicSubspaceVector(u @ project(state).coeffs, spec.rank))
+    return embed(u @ project(state))
 
 
 def _generator_weights(spec: CoherentSpec) -> tuple[list[complex], float]:

@@ -317,7 +317,8 @@ _LOCAL_BY_NAME = {(s, op.value): p for (s, op), p in _LOCAL.items()}
 
 
 def local(site: int, op: SiteOp) -> GatePlacement:
-    if type(site) is int and 0 <= site < MAX_RANK and (shared := _LOCAL.get((site, op))):
+    """The shared (site, op) placement; an int site past the table gets a fresh one."""
+    if shared := _LOCAL.get((jsonio.integer(site, "site"), op)):
         return shared
     if site < 0:
         raise ValueError("site must be non-negative")
@@ -327,6 +328,7 @@ def local(site: int, op: SiteOp) -> GatePlacement:
 
 
 def cnot(a: int, b: int) -> GatePlacement:
+    a, b = jsonio.integer(a, "a"), jsonio.integer(b, "b")
     if a < 0 or b < 0 or a == b:
         raise ValueError("need two distinct non-negative sites")
     return GatePlacement("cnot", a=a, b=b)
@@ -338,6 +340,7 @@ def cnot_transpose(a: int, b: int) -> GatePlacement:
 
 
 def transpose_theta(a: int, b: int, theta: float) -> GatePlacement:
+    a, b = jsonio.integer(a, "a"), jsonio.integer(b, "b")
     if a < 0 or b < 0 or a == b:
         raise ValueError("need two distinct non-negative sites")
     theta = float(theta)
@@ -481,17 +484,15 @@ def circuit_to_json_text(circuit: Circuit) -> str:
 def _placement_from_obj(obj: Mapping) -> GatePlacement:
     kind = obj["type"]
     if kind == "local":
-        site = jsonio.integer(obj["site"], "site")
         named = _LOCAL_BY_NAME.get((0, obj["op"]))  # any placement of that op
         if named is None:
             raise ValueError(f"unknown op {obj['op']!r}")
-        return local(site, named.op)
-    if kind != "cnot" and kind != "T":
-        raise ValueError(f"unknown factor type {kind!r}")
-    a, b = jsonio.integer(obj["a"], "a"), jsonio.integer(obj["b"], "b")
+        return local(obj["site"], named.op)
     if kind == "cnot":
-        return cnot(a, b)
-    return transpose_theta(a, b, jsonio.number(obj["theta"], "theta"))
+        return cnot(obj["a"], obj["b"])
+    if kind == "T":
+        return transpose_theta(obj["a"], obj["b"], jsonio.number(obj["theta"], "theta"))
+    raise ValueError(f"unknown factor type {kind!r}")
 
 
 def circuit_from_json_obj(obj: Mapping) -> Circuit:

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bosonreg.bosonic import (
-    BosonicSubspaceVector,
     PhysParams,
     RegisterOperator,
     b_lower,
@@ -314,16 +313,58 @@ def test_is_bosonic_operator():
 
 
 def test_embed_project_roundtrip():
-    vec = BosonicSubspaceVector(np.array([0.5, 0, -0.25j, 1.0]), 4)
-    state = embed(vec)
-    assert state.amplitude(1) == 0.5 and state.amplitude(8) == 1.0
+    coeffs = np.array([0.5, 0, -0.25j, 1.0])
+    state = embed(coeffs)
+    assert state.rank == 4 and state.amplitude(1) == 0.5 and state.amplitude(8) == 1.0
     back = project(state)
-    assert np.array_equal(back.coeffs, vec.coeffs)
+    assert np.array_equal(back, coeffs)
+
+
+def test_project_is_a_complex_array_of_length_rank():
+    for state in (RegisterState.zero(5), RegisterState(5, {0: 1.0, 4: 2, 7: 1j})):
+        coeffs = project(state)
+        assert type(coeffs) is np.ndarray
+        assert coeffs.dtype == np.complex128 and coeffs.shape == (5,)
+
+
+def test_embed_of_project_keeps_exactly_the_power_of_two_keys():
+    """A mixed state loses its void key and every key with two or more
+    occupied sites, and keeps each power-of-two amplitude as it was."""
+    mixed = RegisterState(
+        4, {0: 0.5, 1: 1 - 2j, 3: 7.0, 4: -0.25j, 6: 3.0, 8: 1e-300, 15: 2.0}
+    )
+    assert embed(project(mixed)).amplitudes == {1: 1 - 2j, 4: -0.25j, 8: 1e-300}
+
+
+def _block_entry_by_entry(op: RegisterOperator) -> np.ndarray:
+    """The R x R block read one amplitude at a time, without project."""
+    rank = op.rank
+    block = np.zeros((rank, rank), dtype=complex)
+    for n in range(rank):
+        column = op.apply(RegisterState.basis(rank, 1 << n))
+        for m in range(rank):
+            block[m, n] = column.amplitude(1 << m)
+    return block
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        ladder("lower", PARAMS, 5),
+        circuit_as_operator(gate_decomposition("momentum", PARAMS, 5).full),
+        site_product(4, {0: SiteOp.S1}),
+    ],
+    ids=["ladder", "momentum circuit", "S1 at site 0"],
+)
+def test_register_block_equals_the_entry_by_entry_loop(op):
+    """S1 at site 0 sends level 0 to the void key and every other level to
+    a two-site key, all off the basis, so its block is all zeros."""
+    assert np.array_equal(register_block(op), _block_entry_by_entry(op))
 
 
 def test_project_discards_transbosonic_part_silently():
     state = RegisterState(3, {1: 1.0, 3: 7.0})
-    assert np.array_equal(project(state).coeffs, [1.0, 0, 0])
+    assert np.array_equal(project(state), [1.0, 0, 0])
     with pytest.raises(NotBosonicError):
         check_transbosonic(state)
 

@@ -86,6 +86,12 @@ def test_truncation_guard():
     assert built.tail_mass > 0.01
 
 
+@pytest.mark.parametrize("rank", [0, 65, 2.5, "8"])
+def test_spec_refuses_a_rank_the_register_refuses(rank):
+    with pytest.raises(ValueError, match=rf"^rank must be an integer in \[1, 64\], got {rank!r}$"):
+        CoherentSpec(0.1, PARAMS, rank)
+
+
 def test_underflowing_vacuum_weight_is_refused():
     """Past |z|^2 of about 1490 the series would be the zero vector."""
     def spec(z):
@@ -412,7 +418,7 @@ def test_trajectory_against_dense_oracle():
     times = np.linspace(0.0, 4.0, 9)
     traj = trajectory(spec, times)
     oracle = build_fock(PARAMS, rank)
-    v0 = project(coherent_series(spec).state).coeffs
+    v0 = project(coherent_series(spec).state)
     levels = np.arange(rank)
     for i, t in enumerate(times):
         v = v0 * np.exp(-1j * (levels + 0.5) * PARAMS.epsilon * t / PARAMS.hbar)

@@ -900,18 +900,38 @@ def test_local_shares_one_placement_per_site_and_op():
             assert (p.kind, p.site, p.op) == ("local", site, op) and type(p.site) is int
 
 
-@pytest.mark.parametrize(
-    "site", [64, 1.0, True, np.int64(1)], ids=["64", "float", "bool", "np.int64"]
-)
+@pytest.mark.parametrize("site", [64, 100], ids=["64", "100"])
 def test_local_makes_a_fresh_placement_off_the_shared_table(site):
-    """Sites outside range(64), or not of type int, get a new placement on
-    every call, holding the site as given."""
+    """An int site of 64 or more gets a new placement on every call, which
+    a Circuit refuses."""
     p = local(site, SiteOp.P0)
     assert p is not local(site, SiteOp.P0) and p == local(site, SiteOp.P0)
-    assert type(p.site) is type(site) and p.site == site
-    if site == 64:
-        with pytest.raises(ValueError, match="site 64 out of range for rank 64"):
-            Circuit(64, (CircuitTerm(1, (p,)),))
+    assert type(p.site) is int and p.site == site
+    with pytest.raises(ValueError, match=f"site {site} out of range for rank 64"):
+        Circuit(64, (CircuitTerm(1, (p,)),))
+
+
+_NOT_INT_SITES = pytest.mark.parametrize(
+    "site", [1.0, 1.5, True, np.int64(1)], ids=["float", "float 1.5", "bool", "np.int64"]
+)
+
+
+@_NOT_INT_SITES
+def test_local_refuses_a_site_that_is_not_an_int(site):
+    with pytest.raises(ValueError, match=f"^site must be an integer, got {re.escape(repr(site))}$"):
+        local(site, SiteOp.P0)
+
+
+@_NOT_INT_SITES
+def test_cnot_and_transpose_refuse_a_site_that_is_not_an_int(site):
+    for name, args in (("a", (site, 0)), ("b", (0, site))):
+        refusal = f"^{name} must be an integer, got {re.escape(repr(site))}$"
+        with pytest.raises(ValueError, match=refusal):
+            cnot(*args)
+        with pytest.raises(ValueError, match=refusal):
+            transpose_theta(*args, 0.5)
+    with pytest.raises(ValueError, match="^b must be an integer"):
+        cnot_transpose(site, 0)
 
 
 def test_local_refusals_are_unchanged():
