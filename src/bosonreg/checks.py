@@ -459,9 +459,10 @@ def _dense_block(handed: list[np.ndarray], powers: list[int]) -> np.ndarray:
     ``handed``, as an end-to-end data point.  It runs on a worker thread and
     pops the generator, so no other reference holds it while eigh runs; it
     calls only the numpy-only steps of expm_antihermitian, so it enters no
-    public function."""
-    u = coherent._expm_i(coherent._hermitian_of(handed.pop()))
-    return u[np.ix_(powers, powers)]
+    public function.  After eigh it multiplies only the aligned column blocks
+    that hold ``powers`` (see _expm_i), and its block has the bits of the
+    full exponential's."""
+    return coherent._expm_i(coherent._hermitian_of(handed.pop()), powers)
 
 
 def _coherent_dynamics(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:

@@ -205,16 +205,18 @@ def test_filter_commutant_measures_what_dense_products_give():
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
 def test_dense_exponential_is_the_expm_block(cfg):
-    """The worker's part is the deviation of expm_antihermitian's block, bit for bit,
-    and run_criteria appends it to coherent-states as its last part."""
+    """The worker's block is expm_antihermitian's block, bit for bit and signed
+    zeros included, and run_criteria appends its deviation to coherent-states
+    as its last part."""
     spec = coherent.CoherentSpec(checks._Z_SET[-1], cfg.params, min(10, cfg.rank))
     generator = gates.circuit_to_matrix(coherent.displacement_generator_gateform(spec).full)
     powers = [1 << n for n in range(spec.rank)]
     reference = coherent.expm_antihermitian(coherent.displacement_generator_block(spec))
-    expected = checks._max_abs(
-        coherent.expm_antihermitian(generator)[np.ix_(powers, powers)] - reference
-    )
+    full = coherent.expm_antihermitian(generator)[np.ix_(powers, powers)]
+    expected = checks._max_abs(full - reference)
     block = checks._dense_block([generator], powers)
+    assert block.shape == full.shape
+    assert np.array_equal(block.view(np.uint64), full.view(np.uint64))
     assert checks._max_abs(block - reference) == expected
     [states] = [r for r in run_criteria(cfg) if r.name == "coherent-states"]
     assert states.detail.endswith(f"; dense-exponential {expected:.3g}/1e-08")

@@ -80,9 +80,10 @@ def _series_without_factorial(coherent_series):
     return faulty
 
 
-def _expm_i_transposed(h):
+def _expm_i_transposed(h, keys=None):
     w, u = np.linalg.eigh(h)
-    return (u * np.exp(1j * w)) @ u.T
+    full = (u * np.exp(1j * w)) @ u.T
+    return full if keys is None else full[np.ix_(keys, keys)]
 
 
 def _first_weights_for_all(plan_index):
