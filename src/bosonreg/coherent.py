@@ -29,7 +29,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import islice
-from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -307,6 +306,28 @@ def evolve(state: RegisterState, t: float, params: PhysParams) -> RegisterState:
     return RegisterState(state.rank, out)
 
 
+def _level_phases(rates: Sequence[float], keys: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the phase e^{-i (n + 1/2) rate} of each key 2**n, one row per rate.
+
+    The angle is 0.0 + rate * -(n + 1/2).  That is exactly the imaginary part
+    of turn * rate, turn = -1j * (n + 1/2), as CPython 3.10-3.13 multiplies a
+    complex by a float: as complex(rate, 0.0), which leaves the real part 0.0
+    and turns an angle of -0.0 into 0.0.  cmath.exp at real part 0.0 is
+    (cos, sin) of the imaginary part, and numpy's float64 cos and sin give
+    libm's bits, so each phase has the bits of cmath.exp(turn * rate).
+    """
+    turns = np.array([-(key.bit_length() - 0.5) for key in keys])
+    angle = 0.0 + np.multiply.outer(np.asarray(rates, dtype=float), turns)
+    return np.cos(angle), np.sin(angle)
+
+
+def _real_quotients(re: np.ndarray, im: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """(complex(re, im) / norm).real for a norm > 0, inf or NaN, as CPython
+    3.10-3.13 divides a complex by a float: (re + im * 0.0) / norm, signed
+    zeros included."""
+    return (re + im * 0.0) / norms
+
+
 def _running_sum(terms: np.ndarray) -> np.ndarray:
     """reduce(add, terms, 0.0) along the last axis, in order; np.sum may pair terms."""
     zero = np.zeros(terms.shape[:-1] + (1,))
@@ -327,19 +348,19 @@ def tabulate(
     state's key order, which every snapshot keeps: a nonzero amplitude
     times a unit phase never rounds to 0, because cos or sin exceeds 1/2 in
     magnitude.  Times run in blocks of up to 1024.  A block's phase factors
-    are CPython's cmath.exp of turn * rate; its snapshots and norms are
-    float64 array passes of CPython's complex products, the norms summed
-    left to right from 0.  Each time is refused in turn, its phase past the
+    are one _level_phases pass, with the bits of evolve's cmath.exp; its
+    snapshots and norms are float64 array passes of CPython's complex
+    products, the norms summed left to right from 0.  Each time is refused in turn, its phase past the
     bound before its zero norm.  Then each plan runs on the whole block as
     float64 array passes of the same operations in the same order: the
     plan's layered image sums, and inner_product's sum of conj(state) *
     image from 0j in the image's order when it stores fewer keys, else the
     state's; a key the image does not store adds +0.0, which changes no sum.
+    Each sum's real quotient by its norm is one _real_quotients pass.
     """
     check_transbosonic(state)
     keys = list(state.amplitudes)
     start = np.array(list(state.amplitudes.values()))
-    turns = [-1j * (key.bit_length() - 0.5) for key in keys]
     where = {key: position for position, key in enumerate(keys)}
     shapes: dict[tuple, list[int]] = {}
     for column, op in enumerate(ops):
@@ -363,15 +384,16 @@ def tabulate(
             except PhaseOverflowError as error:
                 refused = error
                 break
-        factors = map(cmath.exp, map(mul, turns * len(rates), np.repeat(rates, len(keys)).tolist()))
-        phase = np.fromiter(factors, complex, len(rates) * len(keys)).reshape(len(rates), len(keys))
+        cos, sin = _level_phases(rates, keys)
         # the snapshots start * phase, one row per time, then the zero the plans' padding reads
         re, im = np.zeros((2, len(rates), len(keys) + 1))
         with np.errstate(all="ignore"):  # an inf or nan arises as silently as in Python
-            re[:, :-1] = start.real * phase.real - start.imag * phase.imag
-            im[:, :-1] = start.real * phase.imag + start.imag * phase.real
+            re[:, :-1] = start.real * cos - start.imag * sin
+            im[:, :-1] = start.real * sin + start.imag * cos
             amp_re, amp_im = re[:, :-1], im[:, :-1]  # conj(amp) * amp's real part sums to the norm
-            norms = list(map(_nonzero, _running_sum(amp_re * amp_re - (-amp_im) * amp_im).tolist()))
+            norms = _running_sum(amp_re * amp_re - (-amp_im) * amp_im)
+            for norm in norms.tolist():
+                _nonzero(norm)
             if refused is not None:
                 raise refused
             for members, plan, slots, positions, by_state in compiled:
@@ -384,10 +406,8 @@ def tabulate(
                 terms = np.where(stored[..., slots], products, 0.0)
                 fewer = stored.sum(axis=-1) < len(keys)
                 sums = np.where(fewer, _running_sum(terms), _running_sum(terms[..., by_state]))
-                for column, sums_re, sums_im in zip(members, *sums.tolist()):
-                    columns[column] += [
-                        (complex(r, i) / n).real for r, i, n in zip(sums_re, sums_im, norms)
-                    ]
+                for column, values in zip(members, _real_quotients(*sums, norms).tolist()):
+                    columns[column] += values
     return columns
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -617,6 +618,42 @@ def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, where):
     assert (code, out) == (2, "")
     assert err.startswith(f"bosonreg: error: cannot write --out {str(target)!r}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+    reason = "No such file or directory" if where == "missing directory" else "Is a directory"
+    assert err.endswith(f": {reason}\n")
+
+
+_EVOLVE = ("evolve", "--z", "0.5-0.25i", "--rank", "16", "--t1", "3.5")
+
+
+@pytest.mark.parametrize("first, second", [("40", "4"), ("4", "40")])
+def test_out_over_an_existing_file_holds_exactly_the_new_text(tmp_path, capsys, first, second):
+    """--out over a longer or a shorter file leaves exactly the bytes stdout
+    gets, with no tail of the old text."""
+    target = tmp_path / "trajectory.csv"
+    assert run(capsys, *_EVOLVE, "--steps", first, "--out", str(target)) == (0, "", "")
+    code, stdout, _ = run(capsys, *_EVOLVE, "--steps", second)
+    assert code == 0 and len(stdout) != target.stat().st_size
+    assert run(capsys, *_EVOLVE, "--steps", second, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == stdout.encode()
+
+
+def test_out_to_dev_null_exits_0(capsys):
+    """/dev/null takes the output like any file."""
+    assert run(capsys, *_EVOLVE, "--steps", "40", "--out", os.devnull) == (0, "", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_out_to_a_fifo_streams_the_exact_bytes(tmp_path, capsys):
+    """A FIFO that cannot seek gets exactly the bytes stdout gets."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run(capsys, *_EVOLVE, "--steps", "40", "--out", str(fifo)) == (0, "", "")
+    reader.join(timeout=30)
+    code, stdout, _ = run(capsys, *_EVOLVE, "--steps", "40")
+    assert code == 0 and received == [stdout.encode()]
 
 
 def test_outputs_are_deterministic(capsys):

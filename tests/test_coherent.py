@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from bosonreg.bosonic import PhysParams, ladder, project
 from bosonreg.coherent import (
+    _level_phases,
+    _phase_rate,
+    _real_quotients,
     CoherentSpec,
     Trajectory,
     coherent_series,
@@ -234,6 +237,43 @@ def test_evolution_phase_bound(rank, sign):
         evolve(state, beyond, PARAMS)
     with pytest.raises(PhaseOverflowError, match="^evolution phase overflows"):
         tabulate(state, [h], [t, beyond], PARAMS)
+
+
+def _bits(values):
+    """The float64 bit patterns of ``values``, so signed zeros differ."""
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+def test_level_phases_are_cmath_exp_bit_for_bit():
+    """cos and sin of 0.0 + rate * -(n + 1/2) are the parts of CPython's
+    cmath.exp(-1j * (n + 1/2) * rate) at every rank, for rates up to the
+    2**26 rad bound of the top phase, t < 0 and t = +-0.0.  With unit
+    parameters the rate is t."""
+    rng = np.random.default_rng(2026)
+    for rank in range(2, 65):
+        keys = [1 << n for n in range(rank)]
+        edge = math.nextafter(2.0**26 / (rank - 0.5), 0.0)
+        times = [0.0, -0.0, edge, -edge, 5e-324, -1e-300]
+        times += list(rng.uniform(-edge, edge, 6)) + list(10.0 ** rng.uniform(-12, 2, 4))
+        assert [_phase_rate(rank, t, PARAMS) for t in times] == times
+        cos, sin = _level_phases(times, keys)
+        want = np.array([[cmath.exp(-1j * (key.bit_length() - 0.5) * t) for key in keys]
+                         for t in times])
+        assert np.array_equal(_bits(cos), _bits(want.real))
+        assert np.array_equal(_bits(sin), _bits(want.imag))
+
+
+def test_real_quotients_are_cpythons_complex_division():
+    """(re + im * 0.0) / norm is (complex(re, im) / norm).real for the norms
+    tabulate divides by, on signed zeros, subnormals, infinities and NaN."""
+    parts = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1.5, -2.25, 1e300,
+             math.inf, -math.inf, math.nan]
+    norms = [1.0, 0.3, 5e-324, 2.5e-310, 1e300, math.inf, math.nan]
+    re, im, norm = (np.array(axis).ravel() for axis in np.meshgrid(parts, parts, norms))
+    with np.errstate(all="ignore"):  # as in tabulate, an inf or nan arises silently
+        got = _real_quotients(re, im, norm).tolist()
+    want = [(complex(r, i) / n).real for r, i, n in zip(re.tolist(), im.tolist(), norm.tolist())]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def _assert_same_values(got, want):

@@ -9,7 +9,7 @@ way, shows up here.
 
 `coherent.evolve` and `coherent.expectation` get no fault: no command and no
 criterion calls them.  They stay as the tests' bit-for-bit reference for
-`tabulate`.
+`tabulate`.  `tabulate`'s phase pass, `coherent._level_phases`, gets one.
 """
 
 import math
@@ -86,6 +86,14 @@ def _expm_i_transposed(h, keys=None):
     return full if keys is None else full[np.ix_(keys, keys)]
 
 
+def _sin_negated(level_phases):
+    def faulty(rates, keys):
+        cos, sin = level_phases(rates, keys)
+        return cos, -sin
+
+    return faulty
+
+
 def _first_weights_for_all(plan_index):
     def faulty(index, sources, weights):
         rows = list(weights)
@@ -123,6 +131,7 @@ FAULTS = {
         ),
     ),
     "plan-weights-all-as-first": (gates, "plan_index", _first_weights_for_all),
+    "level-phases-sin-negated": (coherent, "_level_phases", _sin_negated),
     "series-without-factorial": (coherent, "coherent_series", _series_without_factorial),
     "expm-uses-transpose": (coherent, "_expm_i", lambda _: _expm_i_transposed),
 }
@@ -141,6 +150,8 @@ FAILING = {
     "apply-plan-drops-last-layer": {"coherent-dynamics"},
     # x and p share a plan, so p is tabulated with x's coefficients
     "plan-weights-all-as-first": {"coherent-dynamics"},
+    # every level turns the wrong way: time runs backwards
+    "level-phases-sin-negated": {"coherent-dynamics"},
     "series-without-factorial": {"coherent-states", "coherent-dynamics"},
     # verify's blind spot: both sides of gateform-exponential and
     # dense-exponential share the exponential, and series-vs-displacement reads
