@@ -198,9 +198,15 @@ def _cmd_decompose(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
 # --- evolve ---------------------------------------------------------------
 
 
+# the most rows evolve writes; its CSV then runs to about 70 MB
+_MAX_STEPS = 2**20
+
+
 def _cmd_evolve(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
     if args.steps < 2:
         raise _UsageError(f"--steps must be at least 2, got {args.steps}")
+    if args.steps > _MAX_STEPS:
+        raise _UsageError(f"--steps must be at most 2**20 = {_MAX_STEPS}, got {args.steps}")
     if not (math.isfinite(args.t0) and math.isfinite(args.t1)) or args.t1 <= args.t0:
         raise _UsageError("need finite times with --t1 greater than --t0")
     if not math.isfinite(args.t1 - args.t0):

@@ -343,36 +343,27 @@ def tabulate(
     """expectation(op, evolve(state, t, params)).real for each op and time.
 
     One column per op, in the order of ``ops``, one value per time, bit for
-    bit the values of that loop.  Ops whose branches share one (cond_mask,
-    cond_value, xor_mask) sequence, as x and p do, share one plan over the
-    state's key order, which every snapshot keeps: a nonzero amplitude
-    times a unit phase never rounds to 0, because cos or sin exceeds 1/2 in
-    magnitude.  Times run in blocks of up to 1024.  A block's phase factors
-    are one _level_phases pass, with the bits of evolve's cmath.exp; its
-    snapshots and norms are float64 array passes of CPython's complex
-    products, the norms summed left to right from 0.  Each time is refused in turn, its phase past the
-    bound before its zero norm.  Then each plan runs on the whole block as
-    float64 array passes of the same operations in the same order: the
-    plan's layered image sums, and inner_product's sum of conj(state) *
-    image from 0j in the image's order when it stores fewer keys, else the
-    state's; a key the image does not store adds +0.0, which changes no sum.
-    Each sum's real quotient by its norm is one _real_quotients pass.
+    bit the values of that loop.  All ops share one plan over the state's
+    key order, which every snapshot keeps: a nonzero amplitude times a unit
+    phase never rounds to 0, because cos or sin exceeds 1/2 in magnitude.
+    Times run in blocks of up to 1024.  A block's phase factors are one
+    _level_phases pass, with the bits of evolve's cmath.exp; its snapshots
+    and norms are float64 array passes of CPython's complex products, the
+    norms summed left to right from 0.  Each time is refused in turn, its
+    phase past the bound before its zero norm.  Then the plan runs once on
+    the whole block, and inner_product's sum of conj(state) * image from 0j
+    is one pass for every op, in the state's order.  An op whose image
+    stores fewer keys than the state in some row is summed again in its
+    image's order, which those rows take, as inner_product walks the smaller
+    side.  A key the image does not store adds +0.0, even where its product
+    is NaN, and that changes no sum: one that starts from +0.0 never holds
+    -0.0.  Each sum's real quotient by its norm is one _real_quotients pass.
     """
     check_transbosonic(state)
     keys = list(state.amplitudes)
+    held = len(keys)
     start = np.array(list(state.amplitudes.values()))
-    where = {key: position for position, key in enumerate(keys)}
-    shapes: dict[tuple, list[int]] = {}
-    for column, op in enumerate(ops):
-        shapes.setdefault(tuple(branch[:3] for branch in op.branches), []).append(column)
-    compiled = []
-    for members in shapes.values():
-        weights = ([coeff for *_, coeff in ops[column].branches] for column in members)
-        plan = plan_index(index_branches(ops[members[0]].branches), keys, weights)
-        # image slot and state position of each key both sides may store, in image order
-        slots = [j for j, key in enumerate(plan.keys) if key in where]
-        positions = np.array([where[plan.keys[j]] for j in slots], dtype=np.intp)
-        compiled.append((members, plan, slots, positions, np.argsort(positions)))
+    plan = plan_index([index_branches(op.branches) for op in ops], keys)
     columns: list[list[float]] = [[] for _ in ops]
     times = iter(times)
     while block := list(islice(times, 1024)):  # blocks bound the arrays' memory
@@ -385,29 +376,37 @@ def tabulate(
                 refused = error
                 break
         cos, sin = _level_phases(rates, keys)
-        # the snapshots start * phase, one row per time, then the zero the plans' padding reads
-        re, im = np.zeros((2, len(rates), len(keys) + 1))
+        # the snapshots start * phase, one row per time, then the zero the plan's padding reads
+        amps = np.zeros((2, len(rates), held + 1))
         with np.errstate(all="ignore"):  # an inf or nan arises as silently as in Python
-            re[:, :-1] = start.real * cos - start.imag * sin
-            im[:, :-1] = start.real * sin + start.imag * cos
-            amp_re, amp_im = re[:, :-1], im[:, :-1]  # conj(amp) * amp's real part sums to the norm
-            norms = _running_sum(amp_re * amp_re - (-amp_im) * amp_im)
+            amps[0, :, :-1] = start.real * cos - start.imag * sin
+            amps[1, :, :-1] = start.real * sin + start.imag * cos
+            amp_re, amp_im = snapshots = amps[..., :-1]
+            # conj(amp) * x as CPython multiplies it, with (-a) * b written as -(a * b)
+            squares = snapshots * snapshots
+            norms = _running_sum(squares[0] + squares[1])
             for norm in norms.tolist():
                 _nonzero(norm)
             if refused is not None:
                 raise refused
-            for members, plan, slots, positions, by_state in compiled:
-                shape = (2, len(members), len(rates), len(plan.keys))
-                image_re, image_im = np.broadcast_to(apply_plan(plan, re, im), shape)
-                stored = np.hypot(image_re, image_im) > 0.0
-                a_re, a_im = re[:, positions], -im[:, positions]
-                b_re, b_im = image_re[..., slots], image_im[..., slots]
-                products = (a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re)
-                terms = np.where(stored[..., slots], products, 0.0)
-                fewer = stored.sum(axis=-1) < len(keys)
-                sums = np.where(fewer, _running_sum(terms), _running_sum(terms[..., by_state]))
-                for column, values in zip(members, _real_quotients(*sums, norms).tolist()):
-                    columns[column] += values
+            image = apply_plan(plan, amps)  # (2, op, time, slot)
+            # abs(value) > 0.0: hypot is inf with an infinite part, else NaN with a
+            # NaN part, else nonzero exactly when a part is
+            parts = np.abs(image)
+            stored = (parts.max(axis=0) > 0.0) | np.isinf(parts).any(axis=0)
+            held_image = image[..., :held]
+            turned = np.stack((amp_im, -amp_im))[:, None]  # meets the (im, re) rows
+            products = amp_re * held_image + turned * held_image[::-1]
+            terms = np.where(stored[..., :held], products, 0.0)
+            sums = _running_sum(terms)
+            fewer = stored.sum(axis=-1) < held
+            for op in np.flatnonzero(fewer.any(axis=-1)).tolist():
+                where = dict(zip(keys, range(held)))
+                walk = [where[key] for key in plan.images[op] if key in where]
+                by_image = _running_sum(terms[:, op][..., walk])
+                sums[:, op] = np.where(fewer[op], by_image, sums[:, op])
+            for column, values in zip(columns, _real_quotients(*sums, norms).tolist()):
+                column += values
     return columns
 
 
@@ -421,12 +420,15 @@ class Trajectory:
     h: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["t,x,p,h"]
-        for t, x, p, h in zip(self.times, self.x, self.p, self.h):
-            lines.append(
-                ",".join((fmt_float(t), fmt_float(x), fmt_float(p), fmt_float(h)))
-            )
-        return "\n".join(lines) + "\n"
+        """One row per time, each value written as fmt_float writes it: "%.17g"
+        formats a float as format(value, ".17g") does, and a value that is not
+        finite is refused with fmt_float's error."""
+        values = np.array([self.times, self.x, self.p, self.h], dtype=float).T
+        finite = np.isfinite(values)
+        if not finite.all():
+            fmt_float(values[~finite][0])
+        rows = "%.17g,%.17g,%.17g,%.17g\n" * len(values) % tuple(values.ravel().tolist())
+        return "t,x,p,h\n" + rows
 
 
 def trajectory(spec: CoherentSpec, times: np.ndarray) -> Trajectory:

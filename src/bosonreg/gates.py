@@ -13,11 +13,11 @@ circuits all compile to branches, and compose, apply_index (with
 plan_index) and branch_matrix are the only code that rewrites keys.  Sparse
 application first groups the branches by cond_mask (index_branches); each
 stored key then finds the branches it meets by one lookup of key & cond_mask
-per mask.  Applying operators that share one branch shape, with other coeffs,
-to many states that store the same keys in the same order can be compiled
-once (plan_index, which shares apply_index's lookup) and then run on all of
-them at once, as a few float64 array passes over one row of amplitudes per
-state, stacked per operator (apply_plan).
+per mask.  Applying any number of operators to many states that store the
+same keys in the same order can be compiled once into one plan (plan_index,
+which shares apply_index's lookup) and then run on all of them at once, as a
+few float64 array passes over one row of amplitudes per state and operator
+(apply_plan).
 
 CNOT with control a and target b flips bit b exactly on branches where bit a
 is 1; its transpose is the same gate with the roles swapped.  The bit
@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -170,63 +171,74 @@ def apply_index(rank: int, index: BranchIndex, state: RegisterState) -> Register
 
 @dataclass(frozen=True)
 class ApplyPlan:
-    """apply_index compiled for states that store a fixed key list, in order.
+    """apply_index compiled, for several operators at once, for states that
+    store a fixed key list, in order.
 
-    ``keys`` are the image keys in the order apply_index first writes them.
-    Layer k holds every image key's k-th contribution: source positions, and
-    coeffs' real and imaginary parts as (operator, 1, key) arrays.  A key
-    with fewer is padded with (number of sources, 0j), a position that holds
-    a zero amplitude.  An accumulator built as 0.0 + x never holds -0.0, so
-    adding the padding's 0j * 0j leaves it exactly as it was.
+    ``keys`` are the image slots: the source keys in their order, then every
+    other key an operator writes.  ``images`` holds each operator's image
+    keys in the order apply_index first writes them.  Layer k holds every
+    slot's k-th contribution as (operator, slot) arrays: source positions,
+    coeffs' real parts, and their imaginary parts stacked as (-imag, imag).
+    A slot with fewer, or one the operator does not write, is padded with
+    (number of sources, 0j), a position that holds a zero amplitude.  An
+    accumulator built as 0.0 + x never holds -0.0, so adding the padding's
+    0j * 0j leaves it exactly as it was, and a slot the operator does not
+    write stays +0.0.
     """
 
     keys: tuple[int, ...]
+    images: tuple[tuple[int, ...], ...]
     layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-def plan_index(
-    index: BranchIndex, sources: Sequence[int], weights: Iterable[Sequence[complex]]
-) -> ApplyPlan:
-    """Record what apply_index does to states that store ``sources``, in order,
-    for each operator whose branches share the index's (cond_mask,
-    cond_value, xor_mask) sequence and take the coeffs of one row of
-    ``weights``, in branch order, as complex(coeff) the way index_branches
-    stores them.  The lookup depends on the shared sequence only, so the
-    operators share one layout.
-    """
-    contributions: dict[int, list[tuple[int, int]]] = {}
-    for position, (key, hits) in enumerate(zip(sources, _lookup(index, sources))):
-        for branch, flip, _ in hits or ():
-            contributions.setdefault(key ^ flip, []).append((position, branch))
-    # (operator, 1, branch): the unit axis spans apply_plan's rows; branch -1 is the padding's 0j
-    coeffs = np.array([[*map(complex, row), 0j] for row in weights])[:, None]
-    depth = max(map(len, contributions.values()), default=0)
-    pad = (len(sources), -1)
-    padded = [column + [pad] * (depth - len(column)) for column in contributions.values()]
-    layers = []
-    for layer in zip(*padded):
-        positions, branches = zip(*layer)
-        layer_coeffs = coeffs[..., branches]
-        layers.append((np.array(positions, dtype=np.intp), layer_coeffs.real, layer_coeffs.imag))
-    return ApplyPlan(tuple(contributions), tuple(layers))
+def plan_index(indexes: Sequence[BranchIndex], sources: Sequence[int]) -> ApplyPlan:
+    """Record what apply_index does with each of ``indexes`` to states that
+    store ``sources``, in order, taking each coeff from the index's hits."""
+    slots = {key: slot for slot, key in enumerate(sources)}
+    images, image_slots, counts, contributions = [], [], [], []
+    for index in indexes:
+        image: dict[int, list[tuple[int, complex]]] = {}  # key -> (source position, coeff)s
+        for position, key, hits in zip(count(), sources, _lookup(index, sources)):
+            for _, flip, coeff in hits or ():
+                image.setdefault(key ^ flip, []).append((position, coeff))
+        images.append(tuple(image))
+        image_slots += [slots.setdefault(key, len(slots)) for key in image]
+        counts += map(len, image.values())
+        contributions += chain.from_iterable(image.values())
+    shape = (max(counts, default=0), len(images), len(slots))
+    positions = np.full(shape, len(sources), dtype=np.intp)
+    coeffs = np.zeros(shape, dtype=complex)
+    if contributions:
+        # each contribution's flat (layer, operator, slot) index; a key's come in layer order
+        counts = np.array(counts)
+        layer = np.arange(len(contributions)) - np.repeat(np.cumsum(counts) - counts, counts)
+        operator = np.repeat(np.arange(len(images)), list(map(len, images)))
+        cell = np.repeat(operator * shape[2] + image_slots, counts)
+        at = layer * (shape[1] * shape[2]) + cell
+        position, coeff = zip(*contributions)
+        positions.flat[at] = np.fromiter(position, np.intp, len(position))
+        coeffs.flat[at] = np.fromiter(coeff, complex, len(coeff))
+    turned = np.stack((-coeffs.imag, coeffs.imag), axis=1)[:, :, None]  # meets (ai, ar) rows
+    layers = zip(positions, coeffs.real.copy(), turned)
+    return ApplyPlan(tuple(slots), tuple(images), tuple(layers))
 
 
-def apply_plan(plan: ApplyPlan, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary image accumulators in ``plan.keys`` order, exact
-    zeros not yet dropped: one stack per planned operator, of one row per
-    row of ``re`` and ``im``, or a single stack when the plan has no layers.
+def apply_plan(plan: ApplyPlan, amps: np.ndarray) -> np.ndarray:
+    """Real and imaginary image accumulators, stacked as (2, operator, row,
+    slot), exact zeros not yet dropped.
 
-    A row holds the source amplitudes in the planned order, then one 0.0
+    ``amps`` stacks the real and imaginary parts of one row of source
+    amplitudes per state, in the planned order, each row followed by one 0.0
     for the padding.  Each layer is one pass of apply_index's acc + amp *
-    coeff from 0j, the product written out as CPython computes it; numpy's
-    complex multiply may round otherwise.
+    coeff from 0j, the product written out as CPython computes it, (ar cr -
+    ai ci, ar ci + ai cr), with ai * -ci for -(ai ci); numpy's complex
+    multiply may round otherwise.
     """
-    acc_re, acc_im = np.zeros((2, 1, len(re), len(plan.keys)))
+    acc = np.zeros((2, amps.shape[1], len(plan.images), len(plan.keys)))
     for positions, c_re, c_im in plan.layers:
-        a_re, a_im = re[:, positions], im[:, positions]
-        acc_re = acc_re + (a_re * c_re - a_im * c_im)
-        acc_im = acc_im + (a_re * c_im + a_im * c_re)
-    return acc_re, acc_im
+        a = amps[:, :, positions]  # (2, row, operator, slot)
+        acc = acc + (a * c_re + a[::-1] * c_im)
+    return acc.swapaxes(1, 2)
 
 
 def apply_branches(

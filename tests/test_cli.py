@@ -402,6 +402,14 @@ def test_evolve_phase_bound(capsys):
         assert err.startswith("bosonreg: error: evolution phase overflows") and err.count("\n") == 1
 
 
+def test_evolve_refuses_steps_past_the_bound():
+    """One count past 2**20 is refused in one line, before any time is made."""
+    steps = 2**20 + 1
+    # at rank 2, so a lapse of the bound stays cheap
+    err = _one_line_refusal("evolve", "--z", "0.5", "--rank", "2", "--t1", "1", "--steps", str(steps))
+    assert err == f"bosonreg: error: --steps must be at most 2**20 = 1048576, got {steps}\n"
+
+
 def test_evolve_refuses_an_overflowing_time_span():
     """t1 - t0 past float max is refused before linspace sees it; a span just
     inside the range goes on to the phase-overflow refusal."""

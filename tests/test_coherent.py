@@ -42,6 +42,7 @@ from bosonreg.errors import (
     ZeroVectorError,
 )
 from bosonreg.fock import build_fock
+from bosonreg.jsonio import fmt_float
 from bosonreg.register import RegisterState
 
 PARAMS = PhysParams(1.0, 1.0, 1.0)
@@ -384,8 +385,8 @@ def test_tabulate_adds_left_to_right_over_many_keys():
 
 
 def test_tabulate_crosses_a_block_boundary_in_the_callers_op_order():
-    """1500 times run as two blocks; x and p share a plan while H, listed
-    between them, has its own, and the columns keep the order of ops."""
+    """1500 times run as two blocks; x, H and p run in one plan, and the
+    columns keep the order of ops."""
     rank = 16
     state = coherent_series(CoherentSpec(0.8 - 0.6j, PARAMS, rank)).state
     ops = [position(PARAMS, rank), hamiltonian(PARAMS, rank), momentum(PARAMS, rank)]
@@ -416,6 +417,17 @@ def test_tabulate_skips_a_key_the_image_does_not_store():
     times = [0.5, 1.0]
     assert tabulate(state, ops, times, PARAMS) == [[0.0, 0.0]]
     assert _expectation_loop(state, ops, times, PARAMS) == [[0.0, 0.0]]
+
+
+def test_tabulate_keeps_a_key_whose_image_has_an_infinite_part():
+    """(inf + inf j) * (1 - 1j) is inf + nan j, whose abs is inf: the image
+    stores that key, and its NaN product makes the value NaN, as in
+    evolve + expectation; skipping the key would give 0.0."""
+    state = RegisterState(4, {1: complex(math.inf, 0), 2: 1 + 0j})
+    ops = [bosonic_projector(0, 4) * (1 - 1j) + bosonic_projector(1, 4)]
+    [[got]] = tabulate(state, ops, [-1.0], PARAMS)
+    [[want]] = _expectation_loop(state, ops, [-1.0], PARAMS)
+    assert math.isnan(got) and math.isnan(want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -495,6 +507,21 @@ def test_trajectory_csv_layout():
     assert lines[0] == "t,x,p,h"
     assert lines[1] == "0,1,0,0.5"
     assert lines[2] == "0.5,0.25,-0.125,0.5"
+
+
+def test_trajectory_csv_writes_each_value_as_fmt_float():
+    """The CSV written in one pass has the bytes of fmt_float on every value,
+    a signed zero, a subnormal, a large and two inexact values among them;
+    a NaN or an infinity in any column is refused with fmt_float's error."""
+    columns = [np.array(c) for c in ([-0.0, 1 / 3], [5e-324, -2.5], [1e300, 7.0], [0.1, -1e-300])]
+    rows = ("".join((",".join(map(fmt_float, row)), "\n")) for row in zip(*columns))
+    assert Trajectory(*columns).to_csv() == "t,x,p,h\n" + "".join(rows)
+    for bad in (math.nan, math.inf, -math.inf):
+        for j in range(4):
+            broken = [c.copy() for c in columns]
+            broken[j][1] = bad
+            with pytest.raises(ValueError, match="^non-finite value has no JSON form$"):
+                Trajectory(*broken).to_csv()
 
 
 def test_expectation_examples():

@@ -1077,45 +1077,58 @@ _SIGNED_WEIGHTS = _WEIGHTS + (complex(1, -0.0), complex(-0.0, 1), complex(-0.0, 
 
 @given(data=st.data())
 def test_plan_reproduces_indexed_apply(data):
-    """A plan over a key order gives apply_index's image for each row of
-    amplitudes on those keys: the same dict, key order and zero signs, on
-    mixed-mask lists whose keys gather different numbers of contributions,
-    whether the row runs alone or among several, for each of two operators
-    of one branch shape and other coeffs that share the plan."""
+    """One plan over a key order gives apply_index's image of each operator
+    for each row of amplitudes on those keys: the same dict, key order and
+    zero signs, read in the operator's first-write order, whether the row
+    runs alone or among several.  The operators in one plan have different
+    branch shapes: mixed-mask lists whose keys gather different numbers of
+    contributions, images that leave the source keys, and images that store
+    fewer keys than the state (a zero weight, a piece less itself, no
+    branches at all).  Every slot an operator does not write holds +0.0."""
     rank = data.draw(st.integers(3, 10))
-    ops: tuple[list, list] = ([], [])
-    for kind in data.draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6)):
-        piece = _draw_piece(data, kind, rank)
-        for branches in ops:
-            weight = data.draw(st.sampled_from(_SIGNED_WEIGHTS))
-            branches += [(m, v, f, weight * c) for m, v, f, c in piece]
+    ops = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        branches = []
+        for kind in data.draw(st.lists(st.sampled_from(_KINDS), max_size=4)):
+            piece = _draw_piece(data, kind, rank)
+            weights = st.lists(st.sampled_from(_SIGNED_WEIGHTS), min_size=1, max_size=2)
+            for weight in data.draw(weights):
+                branches += [(m, v, f, weight * c) for m, v, f, c in piece]
+        ops.append(branches)
     keys = data.draw(st.lists(
         st.one_of(st.integers(0, rank - 1).map(lambda n: 1 << n), st.integers(0, (1 << rank) - 1)),
         min_size=1, max_size=8, unique=True,
     ))
-    row = st.lists(_AMPS.filter(bool), min_size=len(keys), max_size=len(keys))
+    # amplitudes with a zero part make products with a -0.0 part
+    amp = st.one_of(_AMPS.filter(bool), st.sampled_from((1 + 0j, -1j, complex(-0.0, 2))))
+    row = st.lists(amp, min_size=len(keys), max_size=len(keys))
     rows = data.draw(st.lists(row, min_size=1, max_size=4))
-    weights = [[c for *_, c in branches] for branches in ops]
-    plan = plan_index(index_branches(ops[0]), keys, weights)
+    plan = plan_index([index_branches(branches) for branches in ops], keys)
+    assert plan.keys[: len(keys)] == tuple(keys)
 
     def run(rows):
-        """Each op's image of each row; a plan with no layers has one stack for all."""
+        """Each op's image of each row, as {key: value} over the plan's slots."""
         amps = np.array([[*row, 0j] for row in rows])
-        shape = (2, len(ops), len(rows), len(plan.keys))
-        image_re, image_im = np.broadcast_to(apply_plan(plan, amps.real, amps.imag), shape)
+        image_re, image_im = apply_plan(plan, np.stack((amps.real, amps.imag))).tolist()
         return [
-            [list(map(complex, r, i)) for r, i in zip(op_re, op_im)]
-            for op_re, op_im in zip(image_re.tolist(), image_im.tolist())
+            [dict(zip(plan.keys, map(complex, r, i))) for r, i in zip(op_re, op_im)]
+            for op_re, op_im in zip(image_re, image_im)
         ]
 
-    for branches, alone, among in zip(ops, zip(*(run([r]) for r in rows)), run(rows)):
+    for op, (branches, alone, among) in enumerate(
+        zip(ops, zip(*(run([r]) for r in rows)), run(rows))
+    ):
         for amplitudes, (image_alone,), image_among in zip(rows, alone, among):
             state = RegisterState(rank, dict(zip(keys, amplitudes)))
             want = apply_index(rank, index_branches(branches), state).amplitudes
             for image in (image_alone, image_among):
-                got = {key: value for key, value in zip(plan.keys, image) if abs(value) > 0.0}
+                got = {key: image[key] for key in plan.images[op] if abs(image[key]) > 0.0}
                 assert got == want
                 assert list(got) == list(want)
                 for key, value in got.items():
                     assert math.copysign(1, value.real) == math.copysign(1, want[key].real)
                     assert math.copysign(1, value.imag) == math.copysign(1, want[key].imag)
+                for key in set(plan.keys) - set(plan.images[op]):
+                    unwritten = image[key]
+                    assert unwritten == 0
+                    assert math.copysign(1, unwritten.real) == math.copysign(1, unwritten.imag) == 1

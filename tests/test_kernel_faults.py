@@ -12,6 +12,7 @@ criterion calls them.  They stay as the tests' bit-for-bit reference for
 `tabulate`.  `tabulate`'s phase pass, `coherent._level_phases`, gets one.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -94,10 +95,10 @@ def _sin_negated(level_phases):
     return faulty
 
 
-def _first_weights_for_all(plan_index):
-    def faulty(index, sources, weights):
-        rows = list(weights)
-        return plan_index(index, sources, rows[:1] * len(rows))
+def _first_index_for_all(plan_index):
+    def faulty(indexes, sources):
+        indexes = list(indexes)
+        return plan_index(indexes[:1] * len(indexes), sources)
 
     return faulty
 
@@ -126,11 +127,11 @@ FAULTS = {
     ),
     "apply-plan-drops-last-layer": (
         gates, "apply_plan",
-        lambda apply_plan: lambda plan, re, im: apply_plan(
-            gates.ApplyPlan(plan.keys, plan.layers[:-1]), re, im
+        lambda apply_plan: lambda plan, amps: apply_plan(
+            dataclasses.replace(plan, layers=plan.layers[:-1]), amps
         ),
     ),
-    "plan-weights-all-as-first": (gates, "plan_index", _first_weights_for_all),
+    "plan-weights-all-as-first": (gates, "plan_index", _first_index_for_all),
     "level-phases-sin-negated": (coherent, "_level_phases", _sin_negated),
     "series-without-factorial": (coherent, "coherent_series", _series_without_factorial),
     "expm-uses-transpose": (coherent, "_expm_i", lambda _: _expm_i_transposed),
@@ -148,7 +149,7 @@ FAILING = {
     },
     "tabulate-time-reversed": {"coherent-dynamics"},
     "apply-plan-drops-last-layer": {"coherent-dynamics"},
-    # x and p share a plan, so p is tabulated with x's coefficients
+    # every operator is planned from x's index, so p and H are tabulated as x
     "plan-weights-all-as-first": {"coherent-dynamics"},
     # every level turns the wrong way: time runs backwards
     "level-phases-sin-negated": {"coherent-dynamics"},
