@@ -26,7 +26,6 @@ from .bosonic import (
     position,
     project,
     register_block,
-    site_product,
 )
 from .checks import (
     CRITERION_NAMES,

@@ -5,12 +5,12 @@ of the n-th oscillator level; the span of these R keys is the bosonic
 subspace.  Everything outside it, the all-empty configuration included, is
 transbosonic and is annihilated by every operator built here.
 
-Operators are lists of monomial branches (see gates).  site_product builds
-any product of named single-site operators over all sites, with either the
-site unit S0 or the empty projector P0 filling the unnamed sites.  Each hop
-and level projector is such a product with a P0 fill, and each comes out as
-one branch, the matrix unit between two power-of-two keys; the functions
-below write that branch directly (the tests check it against the product):
+Operators are lists of monomial branches (see gates).  In the paper each
+hop and level projector is a product of site operators with the empty
+projector P0 on every other site.  As a one-term circuit of local
+placements that product compiles to one branch, the matrix unit between two
+power-of-two keys; the functions below write that branch directly (the
+tests check it against the compiled circuit):
 
   * bosonic_projector(n)   keeps exactly the key 2**n
   * bosonic_identity       the sum of all R projectors, the subspace filter
@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .errors import (
     ZeroVectorError,
 )
 from .gates import (
-    IDENTITY,
     Branch,
     BranchIndex,
     Circuit,
@@ -67,7 +66,6 @@ from .gates import (
     compose,
     index_branches,
     local,
-    site_branches,
     transpose_theta,
 )
 from .qubit import SiteOp
@@ -76,7 +74,6 @@ from .register import RegisterState, _check_rank
 __all__ = [
     "PhysParams",
     "RegisterOperator",
-    "site_product",
     "circuit_as_operator",
     "bosonic_projector",
     "bosonic_identity",
@@ -143,7 +140,7 @@ class RegisterOperator:
     The first application groups the branches by cond_mask and keeps that
     index; every application then costs one lookup per stored amplitude and
     mask, so cost scales with the occupation of the state, not with 2**R or
-    the branch count.  Operators combine by +, -, scalar *, and @
+    the branch count.  Operators combine by +, -, scale and @
     (composition, right factor first); each combination concatenates,
     rescales or composes branches once, when the operator is built.
     """
@@ -179,16 +176,8 @@ class RegisterOperator:
             self.rank, ((1 + 0j, self), (-1 + 0j, other))
         )
 
-    def __neg__(self) -> "RegisterOperator":
-        return self.scale(-1)
-
     def scale(self, factor: complex) -> "RegisterOperator":
         return RegisterOperator.weighted_sum(self.rank, ((factor, self),))
-
-    def __mul__(self, factor: complex) -> "RegisterOperator":
-        return self.scale(factor)
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "RegisterOperator") -> "RegisterOperator":
         """Composition self after other."""
@@ -213,39 +202,14 @@ class RegisterOperator:
         return branch_matrix(self.rank, self.branches)
 
 
-def site_product(
-    rank: int, ops: Mapping[int, SiteOp], fill: SiteOp = SiteOp.S0
-) -> RegisterOperator:
-    """Product of one named operator per site; unnamed sites get ``fill``.
-
-    Only the unit S0 and the empty projector P0 make sense as fill.  A P0
-    fill adds no branch, only the condition that every unnamed bit is 0.
-    The branch count is the product of the named sites' counts, so it grows
-    as 2**k with k named sites holding S2 or S3.
-    """
-    if fill not in (SiteOp.S0, SiteOp.P0):
-        raise ValueError("fill must be S0 or P0")
-    branches = IDENTITY
-    named_mask = 0
-    for site, op in sorted(ops.items()):
-        if not 0 <= site < rank:
-            raise ValueError(f"site {site} out of range for rank {rank}")
-        branches = compose(site_branches(site, op), branches)
-        named_mask |= 1 << site
-    if fill is SiteOp.P0:
-        empty = ((1 << rank) - 1) & ~named_mask
-        branches = tuple((mask | empty, value, flip, c) for mask, value, flip, c in branches)
-    return RegisterOperator(rank, branches)
-
-
 def circuit_as_operator(circuit: Circuit) -> RegisterOperator:
     """The gate circuit compiled to branches, one block per term in term order."""
     return RegisterOperator(circuit.rank, circuit_branches(circuit))
 
 
 def _level_units(rank: int, terms: Iterable[tuple[complex, int, int]]) -> RegisterOperator:
-    """Sum of w |2**t)(2**s| over (w, s, t): each unit is the one branch that
-    site_product gives, weighted as in ``RegisterOperator.weighted_sum``."""
+    """Sum of w |2**t)(2**s| over (w, s, t): each unit is the one branch its
+    P0-guarded site product compiles to, weighted as in ``weighted_sum``."""
     full = (1 << rank) - 1
     units = ((full, 1 << s, (1 << s) ^ (1 << t), complex(w) * (1 + 0j)) for w, s, t in terms)
     return RegisterOperator(rank, units)

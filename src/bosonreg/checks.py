@@ -15,14 +15,14 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import bosonic, coherent, fock, gates, qubit
 from .bosonic import PhysParams, RegisterOperator
-from .register import RegisterState
+from .register import RegisterState, _check_rank
 
 __all__ = [
     "VerifyConfig",
@@ -50,16 +50,14 @@ class VerifyConfig:
     beta: float = 1.0
     hbar: float = 1.0
     seed: int = 0
+    params: PhysParams = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 2 <= self.rank <= 64:
+        if _check_rank(self.rank) < 2:
             raise ValueError(f"rank must be in [2, 64], got {self.rank}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-
-    @property
-    def params(self) -> PhysParams:
-        return PhysParams(self.alpha, self.beta, self.hbar)
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "params", PhysParams(self.alpha, self.beta, self.hbar))
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,15 @@ def _cmd_algebra_check(args: argparse.Namespace, fmt: str) -> tuple[bool, object
 # --- map ------------------------------------------------------------------
 
 
+def _check_printable(*numbers: int) -> None:
+    """Refuse ints past Python's int-to-str digit limit: no output form can write them."""
+    try:
+        for n in numbers:
+            str(n)
+    except ValueError:
+        raise _UsageError("map value exceeds Python's int-to-str digit limit") from None
+
+
 def _cmd_map(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
     bits = _parse_bits(args.bits)
     if args.mode == "computational":
@@ -135,12 +144,14 @@ def _cmd_map(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
         if not bits:
             raise _UsageError("computational mode needs at least one bit")
         value = computational_map(bits)
+        _check_printable(value)
         if fmt == "json":
             return True, {"command": "map", "mode": "computational", "value": value}
         return True, str(value)
     period = _parse_bits(args.period) if args.period is not None else ()
     seq = EventuallyPeriodicSequence(bits, period)
     value = continuum_map(seq)
+    _check_printable(value.numerator, value.denominator)
     label = seq.classify().value
     if fmt == "json":
         return True, {

@@ -69,7 +69,6 @@ __all__ = [
     "ApplyPlan",
     "plan_index",
     "apply_plan",
-    "apply_branches",
     "branch_matrix",
     "site_branches",
     "circuit_branches",
@@ -239,13 +238,6 @@ def apply_plan(plan: ApplyPlan, amps: np.ndarray) -> np.ndarray:
         a = amps[:, :, positions]  # (2, row, operator, slot)
         acc = acc + (a * c_re + a[::-1] * c_im)
     return acc.swapaxes(1, 2)
-
-
-def apply_branches(
-    rank: int, branches: Iterable[Branch], state: RegisterState
-) -> RegisterState:
-    """Sparse action of a branch list, indexed for this one call."""
-    return apply_index(rank, index_branches(branches), state)
 
 
 def branch_matrix(rank: int, branches: Iterable[Branch]) -> np.ndarray:
@@ -465,7 +457,7 @@ def apply_circuit(state: RegisterState, circuit: Circuit) -> RegisterState:
     one circuit to many states should build
     ``bosonic.circuit_as_operator(circuit)`` once and apply that.
     """
-    return apply_branches(circuit.rank, circuit_branches(circuit), state)
+    return apply_index(circuit.rank, index_branches(circuit_branches(circuit)), state)
 
 
 def circuit_to_matrix(circuit: Circuit) -> np.ndarray:

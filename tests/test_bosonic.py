@@ -26,15 +26,22 @@ from bosonreg.bosonic import (
     position,
     project,
     register_block,
-    site_product,
 )
 from bosonreg.errors import EnergyScaleError, NotBosonicError, ZeroVectorError
 from bosonreg.fock import build_fock, intertwine_check
-from bosonreg.gates import IDENTITY, apply_circuit
+from bosonreg.gates import IDENTITY, Circuit, CircuitTerm, apply_circuit, local
 from bosonreg.qubit import SiteOp, op_bit_matrix
 from bosonreg.register import RegisterState
 
 PARAMS = PhysParams(1.0, 1.0, 1.0)
+
+
+def local_product(rank, ops, guarded=False):
+    """The paper's product of site operators: a one-term circuit of local
+    placements, ``ops`` on the named sites and, if ``guarded``, the empty
+    projector P0 on every other site, compiled to branches."""
+    factors = [local(j, ops.get(j, SiteOp.P0)) for j in range(rank) if guarded or j in ops]
+    return circuit_as_operator(Circuit(rank, [CircuitTerm(1, factors)]))
 
 
 def test_phys_params_derived_quantities():
@@ -51,7 +58,7 @@ def test_phys_params_derived_quantities():
 
 
 def test_site_product_matches_kron_oracle():
-    op = site_product(3, {0: SiteOp.A, 2: SiteOp.P1})
+    op = local_product(3, {0: SiteOp.A, 2: SiteOp.P1})
     oracle = np.kron(
         op_bit_matrix(SiteOp.P1),
         np.kron(op_bit_matrix(SiteOp.S0), op_bit_matrix(SiteOp.A)),
@@ -60,7 +67,7 @@ def test_site_product_matches_kron_oracle():
 
 
 def test_site_product_projector_fill():
-    op = site_product(3, {1: SiteOp.P1}, fill=SiteOp.P0)
+    op = local_product(3, {1: SiteOp.P1}, guarded=True)
     oracle = np.kron(
         op_bit_matrix(SiteOp.P0),
         np.kron(op_bit_matrix(SiteOp.P1), op_bit_matrix(SiteOp.P0)),
@@ -70,8 +77,8 @@ def test_site_product_projector_fill():
 
 def test_register_operator_algebra():
     rank = 3
-    a = site_product(rank, {0: SiteOp.APLUS})
-    b = site_product(rank, {1: SiteOp.APLUS})
+    a = local_product(rank, {0: SiteOp.APLUS})
+    b = local_product(rank, {1: SiteOp.APLUS})
     s = RegisterState.void(rank)
     combined = (a + b).apply(s)
     assert combined == a.apply(s) + b.apply(s)
@@ -130,21 +137,22 @@ def test_hop_operator_is_single_matrix_element():
 
 def test_hops_and_projectors_are_their_site_products():
     """Each hop and projector, written as one branch, is the paper's product
-    of site operators with a P0 fill, down to the sign of every zero."""
+    of site operators guarded by P0 on every other site, down to the sign of
+    every zero."""
     for rank in range(2, 65):
         for n in range(rank):
-            product = site_product(rank, {n: SiteOp.P1}, fill=SiteOp.P0)
+            product = local_product(rank, {n: SiteOp.P1}, guarded=True)
             assert repr(bosonic_projector(n, rank).branches) == repr(product.branches)
         for n in range(rank - 1):
-            product = site_product(rank, {n: SiteOp.APLUS, n + 1: SiteOp.A}, fill=SiteOp.P0)
+            product = local_product(rank, {n: SiteOp.APLUS, n + 1: SiteOp.A}, guarded=True)
             assert repr(b_lower(n, rank).branches) == repr(product.branches)
-            product = site_product(rank, {n: SiteOp.A, n + 1: SiteOp.APLUS}, fill=SiteOp.P0)
+            product = local_product(rank, {n: SiteOp.A, n + 1: SiteOp.APLUS}, guarded=True)
             assert repr(b_raise(n, rank).branches) == repr(product.branches)
 
     def product_ladder(sites, params, rank):
         return RegisterOperator.weighted_sum(rank, [
             (math.sqrt((n + 1) * 2.0 * params.epsilon) + 0j,
-             site_product(rank, {n: sites[0], n + 1: sites[1]}, fill=SiteOp.P0))
+             local_product(rank, {n: sites[0], n + 1: sites[1]}, guarded=True))
             for n in range(rank - 1)
         ])
 
@@ -159,7 +167,7 @@ def test_hops_and_projectors_are_their_site_products():
             up = product_ladder((SiteOp.A, SiteOp.APLUS), params, rank)
             energy = RegisterOperator.weighted_sum(rank, [
                 ((n + 0.5) * params.epsilon + 0j,
-                 site_product(rank, {n: SiteOp.P1}, fill=SiteOp.P0))
+                 local_product(rank, {n: SiteOp.P1}, guarded=True))
                 for n in range(rank)
             ])
             for built, product in (
@@ -309,7 +317,7 @@ def test_is_bosonic_operator():
 
     assert commutator(ladder("lower", PARAMS, 4)) <= 1e-10
     assert commutator(hamiltonian(PARAMS, 4)) <= 1e-10
-    assert commutator(site_product(4, {0: SiteOp.S1})) > 1e-10
+    assert commutator(local_product(4, {0: SiteOp.S1})) > 1e-10
 
 
 def test_embed_project_roundtrip():
@@ -352,7 +360,7 @@ def _block_entry_by_entry(op: RegisterOperator) -> np.ndarray:
     [
         ladder("lower", PARAMS, 5),
         circuit_as_operator(gate_decomposition("momentum", PARAMS, 5).full),
-        site_product(4, {0: SiteOp.S1}),
+        local_product(4, {0: SiteOp.S1}),
     ],
     ids=["ladder", "momentum circuit", "S1 at site 0"],
 )

@@ -126,6 +126,27 @@ def test_negative_seed_is_refused():
         VerifyConfig(seed=-1)
 
 
+@pytest.mark.parametrize("knobs, message", [
+    ({"rank": 2.5}, r"rank must be an integer in \[1, 64\], got 2.5"),
+    ({"rank": np.int64(8)}, r"rank must be an integer in \[1, 64\], got "),
+    ({"rank": "8"}, r"rank must be an integer in \[1, 64\], got '8'"),
+    ({"rank": 1}, r"rank must be in \[2, 64\], got 1"),
+    ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+    ({"alpha": math.nan}, "alpha must be positive and finite"),
+])
+def test_config_refuses_bad_knobs_when_built(knobs, message):
+    """A knob that run_criteria could not use is refused by the constructor,
+    with a ValueError, not later by a TypeError deep inside a criterion."""
+    with pytest.raises(ValueError, match=message):
+        VerifyConfig(**knobs)
+
+
+def test_config_builds_its_params_once():
+    cfg = VerifyConfig(rank=8, alpha=1.3, beta=0.8, hbar=1.1)
+    assert cfg.params is cfg.params
+    assert cfg.params == bosonic.PhysParams(1.3, 0.8, 1.1)
+
+
 def _outcome(r):
     return r.name, r.passed, r.max_deviation, r.tolerance, r.detail
 
@@ -185,7 +206,8 @@ class _LeakyKit(Toolkit):
     """A lowering hop that also creates occupation from the void: not in the filter's commutant."""
 
     def b_lower(self, n, rank):
-        return bosonic.site_product(rank, {n: SiteOp.APLUS})
+        raising = gates.CircuitTerm(1, [gates.local(n, SiteOp.APLUS)])
+        return bosonic.circuit_as_operator(gates.Circuit(rank, [raising]))
 
 
 def test_filter_commutant_measures_what_dense_products_give():

@@ -61,6 +61,34 @@ def test_map_usage_errors(capsys):
     assert run(capsys, "map", "1101", "--period", "1")[0] == 2
 
 
+_PAST_DIGIT_LIMIT = [
+    ("map", "1" * 20000),
+    ("map", "1" * 20000, "--format", "json"),
+    ("map", "0" * 20000 + "1", "--mode", "continuum"),
+    ("map", "0" * 20000 + "1", "--mode", "continuum", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("argv", _PAST_DIGIT_LIMIT, ids=["key", "key json", "prefix", "prefix json"])
+def test_map_refuses_a_value_past_the_int_to_str_limit(tmp_path, capsys, argv):
+    """A key or denominator with more than 4300 decimal digits exits 2 with
+    one line before anything is written, to stdout or to --out."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "bosonreg: error: map value exceeds Python's int-to-str digit limit\n"
+    target = tmp_path / "value"
+    assert run(capsys, *argv, "--out", str(target)) == (2, "", err)
+    assert not target.exists()
+
+
+def test_map_long_period_alone_still_answers(capsys):
+    """20000 repeating 1s sum to 2: the input is long, its value is not."""
+    period = ("--mode", "continuum", "--period", "1" * 20000)
+    assert run(capsys, "map", "", *period) == (0, "2/1 = 2 (RecurringSequence)\n", "")
+    code, out, _ = run(capsys, "map", "", *period, "--format", "json")
+    assert (code, json.loads(out)["numerator"], json.loads(out)["denominator"]) == (0, 2, 1)
+
+
 def test_map_json(capsys):
     code, out, _ = run(capsys, "map", "01", "--mode", "continuum", "--format", "json")
     assert code == 0
@@ -736,8 +764,14 @@ _COMPLEX = st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)).map(
 def _cli_argv(draw):
     rank = draw(st.integers(2, 64))
     command = draw(st.sampled_from(["number", "coherent", "position", "momentum",
-                                    "displacement", "evolve"]))
-    if command == "number":
+                                    "displacement", "evolve", "map"]))
+    if command == "map":
+        argv = ["map", draw(st.text("01", max_size=80)),
+                "--mode", draw(st.sampled_from(["computational", "continuum"])),
+                "--format", draw(st.sampled_from(["text", "json"]))]
+        if draw(st.booleans()):
+            argv += ["--period", draw(st.text("01", max_size=80))]
+    elif command == "number":
         argv = ["state", "number", str(draw(st.integers(0, rank - 1)))]
     elif command == "coherent":
         argv = ["state", "coherent", draw(_COMPLEX)]
@@ -760,6 +794,12 @@ def _cli_argv(draw):
 @example(["decompose", "displacement", "--z", "2.0+4.9406564584124654e-324i",
           "--allow-truncation-risk", "--rank", "2", "--alpha", "1.0", "--beta", "1.0",
           "--hbar", "1.0"])
+# map values past Python's int-to-str digit limit, and a long period whose value is 2
+@example(list(_PAST_DIGIT_LIMIT[0]))
+@example(list(_PAST_DIGIT_LIMIT[1]))
+@example(list(_PAST_DIGIT_LIMIT[2]))
+@example(list(_PAST_DIGIT_LIMIT[3]))
+@example(["map", "", "--mode", "continuum", "--period", "1" * 20000])
 def test_cli_domain_answers_or_refuses_in_one_line(argv):
     """Across rank 2..64 and scales 1e-300..1e300: exit 0, or exit 2 with one stderr line."""
     code, _, err = _quiet_main(*argv)

@@ -424,7 +424,7 @@ def test_tabulate_keeps_a_key_whose_image_has_an_infinite_part():
     stores that key, and its NaN product makes the value NaN, as in
     evolve + expectation; skipping the key would give 0.0."""
     state = RegisterState(4, {1: complex(math.inf, 0), 2: 1 + 0j})
-    ops = [bosonic_projector(0, 4) * (1 - 1j) + bosonic_projector(1, 4)]
+    ops = [bosonic_projector(0, 4).scale(1 - 1j) + bosonic_projector(1, 4)]
     [[got]] = tabulate(state, ops, [-1.0], PARAMS)
     [[want]] = _expectation_loop(state, ops, [-1.0], PARAMS)
     assert math.isnan(got) and math.isnan(want)

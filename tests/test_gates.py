@@ -27,7 +27,6 @@ from bosonreg.gates import (
     Circuit,
     CircuitTerm,
     GatePlacement,
-    apply_branches,
     apply_circuit,
     apply_index,
     apply_plan,
@@ -1053,7 +1052,7 @@ def test_indexed_apply_matches_branch_scan(data):
     amplitudes = data.draw(st.dictionaries(keys, _AMPS, min_size=1, max_size=8))
     state = RegisterState(rank, amplitudes)
     expected = _scan(branches, state)
-    image = apply_branches(rank, branches, state)
+    image = apply_index(rank, index_branches(branches), state)
     assert image.amplitudes == expected
     assert list(image.amplitudes) == list(expected)
 
