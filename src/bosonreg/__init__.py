@@ -64,7 +64,6 @@ from .gates import (
     apply_circuit,
     circuit_to_matrix,
     cnot,
-    cnot_transpose,
     conjugated_cnot_matrix,
     local,
     transpose_theta,

@@ -197,9 +197,7 @@ def _product_table_closure(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
 
 def _gate_identities(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
     c = gates.cnot_matrix()
-    ct = gates.circuit_to_matrix(
-        gates.Circuit(2, (gates.CircuitTerm(1, (gates.cnot_transpose(0, 1),)),))
-    )
+    ct = gates.circuit_to_matrix(gates.Circuit(2, (gates.CircuitTerm(1, (gates.cnot(1, 0),)),)))
     eye = np.eye(4, dtype=complex)
     t0 = gates.transpose_theta_matrix(0.0)
     pauli_sum = 0.5 * sum(

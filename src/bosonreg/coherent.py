@@ -256,16 +256,21 @@ def displacement_generator_gateform(spec: CoherentSpec) -> CircuitPair:
     return decomposition_terms(spec.rank, *_generator_weights(spec))
 
 
-def _nonzero(norm_sq: float) -> float:
-    """(state | state), which an expectation value divides by, refused when zero."""
+def _nonzero(norm_sq: float, state: RegisterState) -> float:
+    """(state | state), which an expectation value divides by, refused when
+    zero; a state that stores any amplitude got there by underflow."""
     if norm_sq == 0.0:
+        if not state.is_zero:
+            raise ZeroVectorError(
+                "the state's squared norm underflows to 0, so its expectation values are undefined"
+            )
         raise ZeroVectorError("expectation value of the zero vector is undefined")
     return norm_sq
 
 
 def expectation(op: RegisterOperator, state: RegisterState) -> complex:
     """(state | op state) / (state | state)."""
-    norm_sq = _nonzero(state.inner_product(state).real)
+    norm_sq = _nonzero(state.inner_product(state).real, state)
     return state.inner_product(op.apply(state)) / norm_sq
 
 
@@ -386,7 +391,7 @@ def tabulate(
             squares = snapshots * snapshots
             norms = _running_sum(squares[0] + squares[1])
             for norm in norms.tolist():
-                _nonzero(norm)
+                _nonzero(norm, state)
             if refused is not None:
                 raise refused
             image = apply_plan(plan, amps)  # (2, op, time, slot)

@@ -21,7 +21,7 @@ class RankMismatchError(BosonRegError):
 
 
 class ZeroVectorError(BosonRegError):
-    """An operation that needs a nonzero state received the zero vector."""
+    """An operation that needs a nonzero state, or a nonzero squared norm, got zero."""
 
 
 class RankTooLargeError(BosonRegError):

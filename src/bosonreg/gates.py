@@ -20,9 +20,10 @@ few float64 array passes over one row of amplitudes per state and operator
 (apply_plan).
 
 CNOT with control a and target b flips bit b exactly on branches where bit a
-is 1; its transpose is the same gate with the roles swapped.  The bit
-transpose T(a, b) exchanges the two bits.  Its one-parameter extension
-T(a, b, theta) phases the two exchange branches oppositely:
+is 1; its transpose is the same gate with the roles swapped, written
+cnot(b, a).  The bit transpose T(a, b) exchanges the two bits.  Its
+one-parameter extension T(a, b, theta) phases the two exchange branches
+oppositely:
 
     (bit a, bit b) = (1, 0)  ->  (0, 1)  times e^{+i theta}
     (bit a, bit b) = (0, 1)  ->  (1, 0)  times e^{-i theta}
@@ -75,7 +76,6 @@ __all__ = [
     "GatePlacement",
     "local",
     "cnot",
-    "cnot_transpose",
     "transpose_theta",
     "CircuitTerm",
     "Circuit",
@@ -336,11 +336,6 @@ def cnot(a: int, b: int) -> GatePlacement:
     if a < 0 or b < 0 or a == b:
         raise ValueError("need two distinct non-negative sites")
     return GatePlacement("cnot", a=a, b=b)
-
-
-def cnot_transpose(a: int, b: int) -> GatePlacement:
-    """Stored canonically as the equivalent CNOT with roles swapped."""
-    return cnot(b, a)
 
 
 def transpose_theta(a: int, b: int, theta: float) -> GatePlacement:

@@ -92,15 +92,8 @@ class EventuallyPeriodicSequence:
         return SequenceClass.FINITE_COUNTABLE
 
 
-def _as_sequence(seq: EventuallyPeriodicSequence | Sequence[int]) -> EventuallyPeriodicSequence:
-    if isinstance(seq, EventuallyPeriodicSequence):
-        return seq
-    return EventuallyPeriodicSequence(prefix=_check_bits(seq))
-
-
-def continuum_map(seq: EventuallyPeriodicSequence | Sequence[int]) -> Fraction:
+def continuum_map(seq: EventuallyPeriodicSequence) -> Fraction:
     """Exact value of sum(bits[n] / 2**n) over the whole infinite sequence."""
-    seq = _as_sequence(seq)
     value = Fraction(0)
     for n, b in enumerate(seq.prefix):
         if b:
@@ -116,9 +109,10 @@ class RegisterState:
     """Sparse complex amplitudes over the 2**R classical keys.
 
     Instances are value objects: every operation returns a new state and the
-    stored map must not be mutated.  Amplitudes of modulus exactly zero (and
-    NaN, whose modulus compares false) are never stored, so the zero vector is
-    the state with an empty map.
+    stored map must not be mutated.  States combine by +, - and scale, as
+    operators do.  Amplitudes of modulus exactly zero (and NaN, whose modulus
+    compares false) are never stored, so the zero vector is the state with an
+    empty map.
     """
 
     __slots__ = ("rank", "_amp")
@@ -207,25 +201,19 @@ class RegisterState:
         squares = (abs(v) ** 2 for v in self._amp.values())
         return float(np.sqrt(reduce(add, squares, 0.0)))
 
-    def add(self, other: "RegisterState") -> "RegisterState":
+    def __add__(self, other: "RegisterState") -> "RegisterState":
         self._require_same_rank(other)
         out = dict(self._amp)
         for key, value in other._amp.items():
             out[key] = out.get(key, 0j) + value
         return RegisterState(self.rank, out)
 
+    def __sub__(self, other: "RegisterState") -> "RegisterState":
+        return self + other.scale(-1)
+
     def scale(self, factor: complex) -> "RegisterState":
         factor = complex(factor)
         return RegisterState(self.rank, {k: factor * v for k, v in self._amp.items()})
-
-    def __add__(self, other: "RegisterState") -> "RegisterState":
-        return self.add(other)
-
-    def __sub__(self, other: "RegisterState") -> "RegisterState":
-        return self.add(other.scale(-1))
-
-    def __rmul__(self, factor: complex) -> "RegisterState":
-        return self.scale(factor)
 
     def to_json_obj(self, **extra: float) -> dict:
         rows = [

@@ -533,6 +533,19 @@ def test_underflowing_vacuum_weight_exits_2(argv):
     assert _one_line_refusal(*argv).startswith("bosonreg: error: exp(-|z|^2/2) underflows")
 
 
+def test_underflowing_squared_norm_exits_2_naming_the_underflow():
+    """At z = 30 and rank 4 the state stores four amplitudes of 1e-196 to
+    1e-191, whose squares underflow to 0: the refusal names the underflow,
+    and a phase past the bound is still refused before it."""
+    argv = ("evolve", "--z", "30", "--rank", "4", "--steps", "3")
+    assert _one_line_refusal(*argv, "--t1", "1") == (
+        "bosonreg: error: the state's squared norm underflows to 0,"
+        " so its expectation values are undefined\n"
+    )
+    err = _one_line_refusal(*argv, "--t0", "1e30", "--t1", "2e30")
+    assert err.startswith("bosonreg: error: evolution phase overflows")
+
+
 @pytest.mark.parametrize(
     "spaced, joined",
     [

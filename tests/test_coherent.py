@@ -400,13 +400,26 @@ def test_tabulate_crosses_a_block_boundary_in_the_callers_op_order():
 
 def test_tabulate_refuses_a_zero_norm_before_a_later_phase_overflow():
     """Each time is refused in turn: the zero norm at t = 0, whose subnormal
-    amplitudes square to 0, before the phase past 2**26 rad at t = 1e6."""
+    amplitudes square to 0, before the phase past 2**26 rad at t = 1e6.  The
+    refusal names the underflow."""
     state = RegisterState(12, {1 << n: 5e-324 for n in range(4)})
     params = PhysParams(1.0, 10.0, 1.0)
     ops, times = [hamiltonian(params, 12)], [0.0, 1e6]
     want = _outcome(lambda: _expectation_loop(state, ops, times, params))
-    assert want[0] is ZeroVectorError
+    assert want == (
+        ZeroVectorError,
+        "the state's squared norm underflows to 0, so its expectation values are undefined",
+    )
     assert _outcome(lambda: tabulate(state, ops, times, params)) == want
+
+
+def test_tabulate_refuses_the_zero_vector_as_such():
+    """A state that stores nothing is the zero vector, not an underflow."""
+    state = RegisterState(12)
+    ops, times = [hamiltonian(PARAMS, 12)], [0.5]
+    want = (ZeroVectorError, "expectation value of the zero vector is undefined")
+    assert _outcome(lambda: _expectation_loop(state, ops, times, PARAMS)) == want
+    assert _outcome(lambda: tabulate(state, ops, times, PARAMS)) == want
 
 
 def test_tabulate_skips_a_key_the_image_does_not_store():

@@ -8,6 +8,7 @@ import pkgutil
 import pytest
 
 import bosonreg
+from bosonreg import RegisterOperator, RegisterState
 
 MODULES = sorted(
     name for _, name, _ in pkgutil.iter_modules(bosonreg.__path__) if name != "__main__"
@@ -32,3 +33,12 @@ def test_package_imports_only_exported_names():
         if alias.name not in importlib.import_module(f"bosonreg.{node.module}").__all__
     ]
     assert unexported == []
+
+
+@pytest.mark.parametrize("cls", [RegisterState, RegisterOperator], ids=lambda c: c.__name__)
+def test_register_values_have_one_spelling_per_operation(cls):
+    """States and operators add and subtract with + and -, and scale with
+    scale; no second spelling of either is defined."""
+    defined = set(vars(cls))
+    assert {"__add__", "__sub__", "scale"} <= defined
+    assert defined & {"add", "__rmul__", "__mul__", "__neg__"} == set()

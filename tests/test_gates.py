@@ -36,7 +36,6 @@ from bosonreg.gates import (
     circuit_to_matrix,
     cnot,
     cnot_matrix,
-    cnot_transpose,
     compose,
     conjugated_cnot_matrix,
     index_branches,
@@ -89,7 +88,7 @@ def test_cnot_matrix_is_permutation_oracle():
 
 def test_transpose_from_cnots_exactly():
     c = cnot_matrix()
-    ct = circuit_to_matrix(Circuit(2, (CircuitTerm(1, (cnot_transpose(0, 1),)),)))
+    ct = circuit_to_matrix(Circuit(2, (CircuitTerm(1, (cnot(1, 0),)),)))
     t = transpose_theta_matrix(0.0)
     assert np.array_equal(t, c @ ct @ c)
     assert np.array_equal(t, ct @ c @ ct)
@@ -117,13 +116,6 @@ def test_twisted_transpose_phases():
 def test_twisted_transpose_is_unitary(theta):
     m = transpose_theta_matrix(theta)
     assert np.max(np.abs(m @ m.conj().T - np.eye(4))) < 1e-14
-
-
-def test_cnot_transpose_canonical_form():
-    assert cnot_transpose(0, 1) == cnot(1, 0)
-    state = RegisterState.basis(2, 2)
-    swapped = _one_gate(2, cnot_transpose(0, 1))
-    assert apply_circuit(state, swapped) == apply_circuit(state, _one_gate(2, cnot(1, 0)))
 
 
 def test_local_placement_rejects_zero_op():
@@ -217,7 +209,7 @@ def test_circuit_json_roundtrip():
     c = Circuit(
         3,
         (
-            CircuitTerm(1j, (cnot_transpose(1, 2), local(0, SiteOp.S2))),
+            CircuitTerm(1j, (cnot(2, 1), local(0, SiteOp.S2))),
             CircuitTerm(-0.25, (transpose_theta(0, 2, math.pi / 2),)),
         ),
     )
@@ -638,7 +630,7 @@ def test_text_writer_matches_reference_on_hand_built_circuits(theta):
     """Every local op, cnot and T(theta), coefficients with signed zero,
     subnormal and huge parts, and terms that share one factor tuple."""
     ops = tuple(local(site, op) for site, op in enumerate(_PLACED_OPS))
-    shared = (cnot(2, 5), transpose_theta(7, 1, theta), *ops, cnot_transpose(0, 3))
+    shared = (cnot(2, 5), transpose_theta(7, 1, theta), *ops, cnot(3, 0))
     terms = [CircuitTerm(complex(re, im), shared) for re in _EDGE_FLOATS for im in _EDGE_FLOATS]
     terms += [
         CircuitTerm(1j, (transpose_theta(0, 1, theta), transpose_theta(0, 1, -theta))),
@@ -929,8 +921,6 @@ def test_cnot_and_transpose_refuse_a_site_that_is_not_an_int(site):
             cnot(*args)
         with pytest.raises(ValueError, match=refusal):
             transpose_theta(*args, 0.5)
-    with pytest.raises(ValueError, match="^b must be an integer"):
-        cnot_transpose(site, 0)
 
 
 def test_local_refusals_are_unchanged():

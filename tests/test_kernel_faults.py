@@ -21,6 +21,7 @@ import pytest
 import bosonreg
 from bosonreg import bosonic, checks, coherent, fock, gates
 from bosonreg.checks import VerifyConfig, run_criteria
+from bosonreg.cli import main
 from bosonreg.qubit import SiteOp
 from bosonreg.register import RegisterState
 
@@ -81,6 +82,14 @@ def _series_without_factorial(coherent_series):
     return faulty
 
 
+def _start_conjugated(tabulate):
+    def faulty(state, ops, times, params):
+        conjugate = {key: amp.conjugate() for key, amp in state.items()}
+        return tabulate(RegisterState(state.rank, conjugate), ops, times, params)
+
+    return faulty
+
+
 def _expm_i_transposed(h, keys=None):
     w, u = np.linalg.eigh(h)
     full = (u * np.exp(1j * w)) @ u.T
@@ -135,6 +144,10 @@ FAULTS = {
     "level-phases-sin-negated": (coherent, "_level_phases", _sin_negated),
     "series-without-factorial": (coherent, "coherent_series", _series_without_factorial),
     "expm-uses-transpose": (coherent, "_expm_i", lambda _: _expm_i_transposed),
+    "tabulate-conjugates-start": (coherent, "tabulate", _start_conjugated),
+    "tail-mass-reported-as-one": (
+        coherent, "_poisson_tail", lambda _: lambda mean, rank, first, kept: 1.0,
+    ),
 }
 
 FAILING = {
@@ -158,13 +171,21 @@ FAILING = {
     # dense-exponential share the exponential, and series-vs-displacement reads
     # only the vacuum column, which this fault keeps
     "expm-uses-transpose": {"coherent-states"},
+    # verify's blind spot: coherent-dynamics starts from a real z, whose
+    # series is its own conjugate
+    "tabulate-conjugates-start": {"coherent-dynamics"},
+    # verify's blind spot: no criterion reads tail_mass
+    "tail-mass-reported-as-one": {"coherent-states"},
 }
 
-_BLIND = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="CHANGES.md FOUND: verify misses a coherent._expm_i that returns U diag U^T",
-)
+# the faults verify misses, and why
+_BLIND = {
+    "expm-uses-transpose": (
+        "CHANGES.md FOUND: verify misses a coherent._expm_i that returns U diag U^T"
+    ),
+    "tabulate-conjugates-start": "verify's coherent-dynamics runs tabulate from a real z only",
+    "tail-mass-reported-as-one": "no criterion reads tail_mass",
+}
 
 
 def _inject(monkeypatch, module, name, make_faulty):
@@ -186,10 +207,35 @@ def test_the_compose_rebuild_is_compose_when_unfaulted():
 
 @pytest.mark.parametrize(
     "fault",
-    [pytest.param(name, marks=_BLIND) if name == "expm-uses-transpose" else name
-     for name in FAULTS],
+    [
+        pytest.param(
+            name, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=_BLIND[name])
+        )
+        if name in _BLIND
+        else name
+        for name in FAULTS
+    ],
 )
 def test_kernel_fault_fails_pinned_criteria(monkeypatch, fault):
     _inject(monkeypatch, *FAULTS[fault])
     failed = {result.name for result in run_criteria(VerifyConfig()) if not result.passed}
     assert failed == FAILING[fault]
+
+
+@pytest.mark.parametrize(
+    "fault, argv",
+    [
+        (
+            "tabulate-conjugates-start",
+            ("evolve", "--z", "0.5+0.3i", "--rank", "12", "--t1", "3", "--steps", "5"),
+        ),
+        ("tail-mass-reported-as-one", ("state", "coherent", "0.5+0.3i", "--rank", "12")),
+    ],
+)
+def test_a_fault_verify_misses_changes_a_command_output(monkeypatch, capsys, fault, argv):
+    """These faults verify misses are real: the command writes other bytes under each."""
+    assert main(list(argv)) == 0
+    clean = capsys.readouterr().out
+    _inject(monkeypatch, *FAULTS[fault])
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out != clean
