@@ -356,17 +356,15 @@ def tabulate(
     and norms are float64 array passes of CPython's complex products, the
     norms summed left to right from 0.  Each time is refused in turn, its
     phase past the bound before its zero norm.  Then the plan runs once on
-    the whole block, and inner_product's sum of conj(state) * image from 0j
-    is one pass for every op, in the state's order.  An op whose image
-    stores fewer keys than the state in some row is summed again in its
-    image's order, which those rows take, as inner_product walks the smaller
-    side.  A key the image does not store adds +0.0, even where its product
-    is NaN, and that changes no sum: one that starts from +0.0 never holds
-    -0.0.  Each sum's real quotient by its norm is one _real_quotients pass.
+    the whole block on the state's keys, and inner_product's sum of
+    conj(state) * image from 0j over the state's keys, in their order, is
+    one pass for every op.  A key the image does not store adds +0.0, even
+    where its product is NaN, and that changes no sum: one that starts from
+    +0.0 never holds -0.0.  Each sum's real quotient by its norm is one
+    _real_quotients pass.
     """
     check_transbosonic(state)
     keys = list(state.amplitudes)
-    held = len(keys)
     start = np.array(list(state.amplitudes.values()))
     plan = plan_index([index_branches(op.branches) for op in ops], keys)
     columns: list[list[float]] = [[] for _ in ops]
@@ -382,7 +380,7 @@ def tabulate(
                 break
         cos, sin = _level_phases(rates, keys)
         # the snapshots start * phase, one row per time, then the zero the plan's padding reads
-        amps = np.zeros((2, len(rates), held + 1))
+        amps = np.zeros((2, len(rates), len(keys) + 1))
         with np.errstate(all="ignore"):  # an inf or nan arises as silently as in Python
             amps[0, :, :-1] = start.real * cos - start.imag * sin
             amps[1, :, :-1] = start.real * sin + start.imag * cos
@@ -399,17 +397,9 @@ def tabulate(
             # NaN part, else nonzero exactly when a part is
             parts = np.abs(image)
             stored = (parts.max(axis=0) > 0.0) | np.isinf(parts).any(axis=0)
-            held_image = image[..., :held]
             turned = np.stack((amp_im, -amp_im))[:, None]  # meets the (im, re) rows
-            products = amp_re * held_image + turned * held_image[::-1]
-            terms = np.where(stored[..., :held], products, 0.0)
-            sums = _running_sum(terms)
-            fewer = stored.sum(axis=-1) < held
-            for op in np.flatnonzero(fewer.any(axis=-1)).tolist():
-                where = dict(zip(keys, range(held)))
-                walk = [where[key] for key in plan.images[op] if key in where]
-                by_image = _running_sum(terms[:, op][..., walk])
-                sums[:, op] = np.where(fewer[op], by_image, sums[:, op])
+            products = amp_re * image + turned * image[::-1]
+            sums = _running_sum(np.where(stored, products, 0.0))
             for column, values in zip(columns, _real_quotients(*sums, norms).tolist()):
                 column += values
     return columns

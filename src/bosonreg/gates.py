@@ -14,10 +14,10 @@ plan_index) and branch_matrix are the only code that rewrites keys.  Sparse
 application first groups the branches by cond_mask (index_branches); each
 stored key then finds the branches it meets by one lookup of key & cond_mask
 per mask.  Applying any number of operators to many states that store the
-same keys in the same order can be compiled once into one plan (plan_index,
-which shares apply_index's lookup) and then run on all of them at once, as a
-few float64 array passes over one row of amplitudes per state and operator
-(apply_plan).
+same keys in the same order, and reading each image on those keys alone, can
+be compiled once into one plan (plan_index, which shares apply_index's
+lookup) and then run on all of them at once, as a few float64 array passes
+over one row of amplitudes per state and operator (apply_plan).
 
 CNOT with control a and target b flips bit b exactly on branches where bit a
 is 1; its transpose is the same gate with the roles swapped, written
@@ -57,7 +57,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import RankMismatchError, RankTooLargeError
-from .qubit import SiteOp, op_action
+from .qubit import PhaseTransform, SiteOp, op_action
 from .register import DENSE_MAX_RANK, MAX_RANK, RegisterState, _check_rank
 
 __all__ = [
@@ -171,60 +171,59 @@ def apply_index(rank: int, index: BranchIndex, state: RegisterState) -> Register
 @dataclass(frozen=True)
 class ApplyPlan:
     """apply_index compiled, for several operators at once, for states that
-    store a fixed key list, in order.
+    store a fixed key list, in order, and read back on those keys alone.
 
-    ``keys`` are the image slots: the source keys in their order, then every
-    other key an operator writes.  ``images`` holds each operator's image
-    keys in the order apply_index first writes them.  Layer k holds every
-    slot's k-th contribution as (operator, slot) arrays: source positions,
-    coeffs' real parts, and their imaginary parts stacked as (-imag, imag).
-    A slot with fewer, or one the operator does not write, is padded with
-    (number of sources, 0j), a position that holds a zero amplitude.  An
-    accumulator built as 0.0 + x never holds -0.0, so adding the padding's
-    0j * 0j leaves it exactly as it was, and a slot the operator does not
-    write stays +0.0.
+    Slot s is the s-th source key; what an operator writes to any other key
+    is dropped.  Layer k holds every slot's k-th contribution, in the order
+    apply_index adds them: ``positions`` and ``re`` hold source positions
+    and coeffs' real parts as (layer, operator, slot) arrays, and ``turned``
+    their imaginary parts as (layer, 2, 1, operator, slot), stacked as
+    (-imag, imag).  A slot with fewer, or one the operator does not write,
+    is padded with (number of sources, 0j), a position that holds a zero
+    amplitude.  An accumulator built as 0.0 + x never holds -0.0, so
+    adding the padding's 0j * 0j leaves it exactly as it was, and a slot the
+    operator does not write stays +0.0.
     """
 
-    keys: tuple[int, ...]
-    images: tuple[tuple[int, ...], ...]
-    layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    positions: np.ndarray
+    re: np.ndarray
+    turned: np.ndarray
 
 
 def plan_index(indexes: Sequence[BranchIndex], sources: Sequence[int]) -> ApplyPlan:
     """Record what apply_index does with each of ``indexes`` to states that
-    store ``sources``, in order, taking each coeff from the index's hits."""
+    store ``sources``, in order, on those keys, taking each coeff from the
+    index's hits."""
     slots = {key: slot for slot, key in enumerate(sources)}
-    images, image_slots, counts, contributions = [], [], [], []
-    for index in indexes:
-        image: dict[int, list[tuple[int, complex]]] = {}  # key -> (source position, coeff)s
+    cells, counts, contributions = [], [], []
+    for operator, index in enumerate(indexes):
+        image: dict[int, list[tuple[int, complex]]] = {}  # slot -> (source position, coeff)s
         for position, key, hits in zip(count(), sources, _lookup(index, sources)):
             for _, flip, coeff in hits or ():
-                image.setdefault(key ^ flip, []).append((position, coeff))
-        images.append(tuple(image))
-        image_slots += [slots.setdefault(key, len(slots)) for key in image]
+                slot = slots.get(key ^ flip)
+                if slot is not None:
+                    image.setdefault(slot, []).append((position, coeff))
+        cells += [operator * len(slots) + slot for slot in image]
         counts += map(len, image.values())
         contributions += chain.from_iterable(image.values())
-    shape = (max(counts, default=0), len(images), len(slots))
+    shape = (max(counts, default=0), len(indexes), len(slots))
     positions = np.full(shape, len(sources), dtype=np.intp)
     coeffs = np.zeros(shape, dtype=complex)
     if contributions:
-        # each contribution's flat (layer, operator, slot) index; a key's come in layer order
+        # each contribution's flat (layer, operator, slot) index; a slot's come in layer order
         counts = np.array(counts)
         layer = np.arange(len(contributions)) - np.repeat(np.cumsum(counts) - counts, counts)
-        operator = np.repeat(np.arange(len(images)), list(map(len, images)))
-        cell = np.repeat(operator * shape[2] + image_slots, counts)
-        at = layer * (shape[1] * shape[2]) + cell
+        at = layer * (shape[1] * shape[2]) + np.repeat(cells, counts)
         position, coeff = zip(*contributions)
         positions.flat[at] = np.fromiter(position, np.intp, len(position))
         coeffs.flat[at] = np.fromiter(coeff, complex, len(coeff))
     turned = np.stack((-coeffs.imag, coeffs.imag), axis=1)[:, :, None]  # meets (ai, ar) rows
-    layers = zip(positions, coeffs.real.copy(), turned)
-    return ApplyPlan(tuple(slots), tuple(images), tuple(layers))
+    return ApplyPlan(positions, coeffs.real.copy(), turned)
 
 
 def apply_plan(plan: ApplyPlan, amps: np.ndarray) -> np.ndarray:
-    """Real and imaginary image accumulators, stacked as (2, operator, row,
-    slot), exact zeros not yet dropped.
+    """Real and imaginary image accumulators on the source keys, stacked as
+    (2, operator, row, slot), exact zeros not yet dropped.
 
     ``amps`` stacks the real and imaginary parts of one row of source
     amplitudes per state, in the planned order, each row followed by one 0.0
@@ -233,8 +232,8 @@ def apply_plan(plan: ApplyPlan, amps: np.ndarray) -> np.ndarray:
     ai ci, ar ci + ai cr), with ai * -ci for -(ai ci); numpy's complex
     multiply may round otherwise.
     """
-    acc = np.zeros((2, amps.shape[1], len(plan.images), len(plan.keys)))
-    for positions, c_re, c_im in plan.layers:
+    acc = np.zeros((2, amps.shape[1], *plan.positions.shape[1:]))
+    for positions, c_re, c_im in zip(plan.positions, plan.re, plan.turned):
         a = amps[:, :, positions]  # (2, row, operator, slot)
         acc = acc + (a * c_re + a[::-1] * c_im)
     return acc.swapaxes(1, 2)
@@ -552,9 +551,9 @@ def conjugated_cnot_matrix(
     front; each equals the scalar call's matrix bit for bit.
     """
     shape = np.shape(alpha)
-    u_a, u_b = np.zeros((2, *shape, 2, 2), dtype=complex)  # bit order 0, 1
-    u_a[..., 0, 0], u_a[..., 1, 1] = np.exp(-1j * beta), np.exp(-1j * alpha)
-    u_b[..., 0, 0], u_b[..., 1, 1] = np.exp(-1j * delta), np.exp(-1j * gamma)
+    # each site's rephasing reversed from the display layout into bit order 0, 1
+    u_a = PhaseTransform(alpha, beta).matrix[..., ::-1, ::-1]
+    u_b = PhaseTransform(gamma, delta).matrix[..., ::-1, ::-1]
     # np.kron(u_b, u_a) as np.kron multiplies it; site 1 is the high bit of the key
     u = (u_b[..., :, None, :, None] * u_a[..., None, :, None, :]).reshape(*shape, 4, 4)
     return u @ cnot_matrix() @ u.conj().swapaxes(-1, -2)

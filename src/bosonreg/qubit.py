@@ -161,6 +161,7 @@ def op_product(a: ScaledSiteOp | SiteOp, b: ScaledSiteOp | SiteOp) -> ScaledSite
     a, b = _as_scaled(a), _as_scaled(b)
     entry = PRODUCT_TABLE[(a.op, b.op)]
     key = (a.coeff * b.coeff * entry.coeff, entry.op)
+    # only an operator forged past __post_init__ misses the table; building its key refuses it
     return _CANONICAL.get(key) or ScaledSiteOp(*key)
 
 

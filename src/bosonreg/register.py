@@ -182,18 +182,16 @@ class RegisterState:
             raise RankMismatchError(f"rank {self.rank} vs {other.rank}")
 
     def inner_product(self, other: "RegisterState") -> complex:
-        """(self | other), antilinear in self."""
+        """(self | other), antilinear in self: conj(self) * other summed from
+        0j over self's keys, in self's order, skipping a key other does not
+        store."""
         self._require_same_rank(other)
-        small, big = self._amp, other._amp
-        conj_side = True
-        if len(big) < len(small):
-            small, big = big, small
-            conj_side = False
+        ket = other._amp
         total = 0j
-        for key, value in small.items():
-            mate = big.get(key)
+        for key, value in self._amp.items():
+            mate = ket.get(key)
             if mate is not None:
-                total += value.conjugate() * mate if conj_side else mate.conjugate() * value
+                total += value.conjugate() * mate
         return total
 
     def norm(self) -> float:

@@ -361,7 +361,8 @@ def _low_levels_position(params, rank, top):
 
 def test_tabulate_walks_the_smaller_side_in_its_order():
     """x after the filter onto levels 0..3 stores 5 image keys, in the order
-    1, 2, 0, 3, 4, against the state's 8: inner_product walks the image."""
+    1, 2, 0, 3, 4, against the state's 8: tabulate sums over the state's
+    keys in the state's order, as inner_product does, not in the image's."""
     rng = np.random.default_rng(5)
     coeffs = rng.uniform(-2, 2, 8) + 1j * rng.uniform(-2, 2, 8)
     state = RegisterState(8, {1 << n: complex(c) for n, c in enumerate(coeffs)})

@@ -12,7 +12,6 @@ criterion calls them.  They stay as the tests' bit-for-bit reference for
 `tabulate`.  `tabulate`'s phase pass, `coherent._level_phases`, gets one.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -137,7 +136,7 @@ FAULTS = {
     "apply-plan-drops-last-layer": (
         gates, "apply_plan",
         lambda apply_plan: lambda plan, amps: apply_plan(
-            dataclasses.replace(plan, layers=plan.layers[:-1]), amps
+            gates.ApplyPlan(plan.positions[:-1], plan.re[:-1], plan.turned[:-1]), amps
         ),
     ),
     "plan-weights-all-as-first": (gates, "plan_index", _first_index_for_all),

@@ -97,6 +97,22 @@ def test_inner_product_antilinear_in_first_argument():
     assert s.inner_product(t) == t.inner_product(s).conjugate()
 
 
+def test_inner_product_sums_over_the_bra_in_its_order():
+    """conj(bra) * ket from 0j, left to right over the bra's keys in the
+    bra's order, where the ket stores fewer keys in another order: the
+    terms -1e16j, 1e16j, -1j sum to -1j in the bra's order and to 0j in the
+    ket's, whose -1j comes first and is lost against -1e16j."""
+    bra = RegisterState(4, {1: 1j, 2: 1j, 4: 1j, 8: 1})
+    ket = RegisterState(4, {4: 1, 1: 1e16, 2: -1e16})
+    total = 0j
+    for key, value in bra.items():
+        if key in ket.amplitudes:
+            total += value.conjugate() * ket.amplitude(key)
+    got = bra.inner_product(ket)
+    assert got == total == -1j
+    assert math.copysign(1, got.real) == math.copysign(1, total.real)
+
+
 def test_arithmetic_and_normalization():
     s = RegisterState.basis(2, 1) + RegisterState.basis(2, 2)
     assert abs(s.norm() - 2 ** 0.5) < 1e-15
