@@ -165,13 +165,11 @@ class RegisterOperator:
             raise RankMismatchError(f"rank {self.rank} vs {other.rank}")
 
     def __add__(self, other: "RegisterOperator") -> "RegisterOperator":
-        self._require_same_rank(other)
         return RegisterOperator.weighted_sum(
             self.rank, ((1 + 0j, self), (1 + 0j, other))
         )
 
     def __sub__(self, other: "RegisterOperator") -> "RegisterOperator":
-        self._require_same_rank(other)
         return RegisterOperator.weighted_sum(
             self.rank, ((1 + 0j, self), (-1 + 0j, other))
         )
@@ -188,6 +186,11 @@ class RegisterOperator:
     def weighted_sum(
         cls, rank: int, pairs: Iterable[tuple[complex, "RegisterOperator"]]
     ) -> "RegisterOperator":
+        """Sum of weight * op over the pairs; every op must have rank ``rank``."""
+        pairs = tuple(pairs)
+        for _, op in pairs:
+            if op.rank != rank:
+                raise RankMismatchError(f"rank {rank} vs {op.rank}")
         return cls(
             rank,
             (

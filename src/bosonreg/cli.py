@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Thin shell over the library: identity verification, map evaluation, state
-construction, decomposition export, and trajectory generation.  Every
-command takes one path through `main`: validate the shared options, pick the
-format (each subparser declares its formats, the first being the default),
-run the command, which returns (passed, output), and write the output once,
-a JSON value through `jsonio.dumps`.  All numeric output is written with 17
-significant digits so runs can be diffed exactly.
+construction, decomposition export, and trajectory generation.  Each
+subcommand takes only the options it reads, and `--format` offers only the
+formats it writes, the first being the default.  Every command takes one
+path through `main`: validate the options it declares, run the command,
+which returns (passed, output), and write the output once, a JSON value
+through `jsonio.dumps`.  All numeric output is written with 17 significant
+digits so runs can be diffed exactly.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 """
@@ -68,30 +69,22 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _check_config(args: argparse.Namespace) -> None:
-    if not 2 <= args.rank <= 64:
-        raise _UsageError(f"--rank must be in [2, 64], got {args.rank}")
-    for name in ("alpha", "beta", "hbar"):
-        value = getattr(args, name)
-        if not (math.isfinite(value) and value > 0):
-            raise _UsageError(f"--{name} must be positive and finite")
-    if not (math.isfinite(args.tol) and args.tol >= 0):
+    """Refuse a bad value of the scale, --tol and --seed options the command takes."""
+    if "rank" in args:
+        if not 2 <= args.rank <= 64:
+            raise _UsageError(f"--rank must be in [2, 64], got {args.rank}")
+        for name in ("alpha", "beta", "hbar"):
+            value = getattr(args, name)
+            if not (math.isfinite(value) and value > 0):
+                raise _UsageError(f"--{name} must be positive and finite")
+    if "tol" in args and not (math.isfinite(args.tol) and args.tol >= 0):
         raise _UsageError("--tol must be a non-negative finite real")
-    if args.seed < 0:
+    if "seed" in args and args.seed < 0:
         raise _UsageError(f"--seed must be a non-negative integer, got {args.seed}")
 
 
 def _params(args: argparse.Namespace) -> PhysParams:
     return PhysParams(args.alpha, args.beta, args.hbar)
-
-
-def _pick_format(args: argparse.Namespace) -> str:
-    """--format, or the command's default: the first of the formats it declares."""
-    chosen = args.format or args.formats[0]
-    if chosen not in args.formats:
-        raise _UsageError(
-            f"format {chosen!r} is not supported here (allowed: {', '.join(args.formats)})"
-        )
-    return chosen
 
 
 def _coherent_spec(args: argparse.Namespace, text: str) -> CoherentSpec:
@@ -103,13 +96,13 @@ def _coherent_spec(args: argparse.Namespace, text: str) -> CoherentSpec:
 # --- algebra-check --------------------------------------------------------
 
 
-def _cmd_algebra_check(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
+def _cmd_algebra_check(args: argparse.Namespace) -> tuple[bool, object]:
     report = [
         {"name": name, "max_deviation": dev, "passed": dev <= args.tol}
         for name, dev in algebra_groups()
     ]
     passed = all(entry["passed"] for entry in report)
-    if fmt == "json":
+    if args.format == "json":
         return passed, {"command": "algebra-check", "tol": args.tol, "groups": report,
                         "passed": passed}
     lines = [
@@ -136,7 +129,7 @@ def _check_printable(*numbers: int) -> None:
         raise _UsageError("map value exceeds Python's int-to-str digit limit") from None
 
 
-def _cmd_map(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
+def _cmd_map(args: argparse.Namespace) -> tuple[bool, object]:
     bits = _parse_bits(args.bits)
     if args.mode == "computational":
         if args.period is not None:
@@ -145,7 +138,7 @@ def _cmd_map(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
             raise _UsageError("computational mode needs at least one bit")
         value = computational_map(bits)
         _check_printable(value)
-        if fmt == "json":
+        if args.format == "json":
             return True, {"command": "map", "mode": "computational", "value": value}
         return True, str(value)
     period = _parse_bits(args.period) if args.period is not None else ()
@@ -153,7 +146,7 @@ def _cmd_map(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
     value = continuum_map(seq)
     _check_printable(value.numerator, value.denominator)
     label = seq.classify().value
-    if fmt == "json":
+    if args.format == "json":
         return True, {
             "command": "map",
             "mode": "continuum",
@@ -169,7 +162,7 @@ def _cmd_map(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
 # --- state ----------------------------------------------------------------
 
 
-def _cmd_state(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
+def _cmd_state(args: argparse.Namespace) -> tuple[bool, object]:
     params = _params(args)  # before the value, so a bad energy scale is reported first
     if args.kind == "number":
         try:
@@ -188,7 +181,7 @@ def _cmd_state(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
 # --- decompose ------------------------------------------------------------
 
 
-def _cmd_decompose(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
+def _cmd_decompose(args: argparse.Namespace) -> tuple[bool, object]:
     params = _params(args)  # before --z, so a bad energy scale is reported first
     obj = {"command": "decompose", "kind": args.kind, "rank": args.rank}
     if args.kind == "displacement":
@@ -213,7 +206,7 @@ def _cmd_decompose(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
 _MAX_STEPS = 2**20
 
 
-def _cmd_evolve(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
+def _cmd_evolve(args: argparse.Namespace) -> tuple[bool, object]:
     if args.steps < 2:
         raise _UsageError(f"--steps must be at least 2, got {args.steps}")
     if args.steps > _MAX_STEPS:
@@ -229,14 +222,14 @@ def _cmd_evolve(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
 # --- verify ---------------------------------------------------------------
 
 
-def _cmd_verify(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[bool, object]:
     cfg = VerifyConfig(
         rank=args.rank, alpha=args.alpha, beta=args.beta, hbar=args.hbar, seed=args.seed
     )
     results = run_criteria(cfg, mutation=args.mutate)
     passed = all(r.passed for r in results)
     total = sum(r.seconds for r in results)
-    if fmt == "json":
+    if args.format == "json":
         return passed, {
             "command": "verify",
             "mutation": args.mutate,
@@ -278,18 +271,14 @@ def _cmd_verify(args: argparse.Namespace, fmt: str) -> tuple[bool, object]:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process; ``parse_args`` does not change it."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rank", type=int, default=32, help="register size, 2..64")
-    common.add_argument("--alpha", type=float, default=1.0, help="position scale")
-    common.add_argument("--beta", type=float, default=1.0, help="momentum scale")
-    common.add_argument("--hbar", type=float, default=1.0, help="action quantum")
-    common.add_argument(
-        "--tol", type=float, default=1e-10,
-        help="tolerance for algebra-check identities (verify uses pinned tolerances)",
-    )
-    common.add_argument("--format", choices=("text", "json", "csv"), default=None)
-    common.add_argument("--out", default=None, help="write output to this file")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    scales = argparse.ArgumentParser(add_help=False)
+    scales.add_argument("--rank", type=int, default=32, help="register size, 2..64")
+    scales.add_argument("--alpha", type=float, default=1.0, help="position scale")
+    scales.add_argument("--beta", type=float, default=1.0, help="momentum scale")
+    scales.add_argument("--hbar", type=float, default=1.0, help="action quantum")
+    coherent = argparse.ArgumentParser(add_help=False, parents=[scales])
+    coherent.add_argument("--allow-truncation-risk", action="store_true",
+                          help="bypass the |z|^2 <= rank/4 guard")
 
     parser = argparse.ArgumentParser(
         prog="bosonreg",
@@ -297,48 +286,48 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("algebra-check", parents=[common],
-                       help="verify the operator product table and gate identities")
-    p.set_defaults(func=_cmd_algebra_check, formats=("text", "json"))
+    def command(name, func, writes, parents, help):
+        """A subparser with the --format choices it writes, the first by default, and --out."""
+        p = sub.add_parser(name, parents=parents, help=help)
+        p.add_argument("--format", choices=writes, default=writes[0])
+        p.add_argument("--out", default=None, help="write output to this file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("map", parents=[common],
-                       help="evaluate the computational or continuum map of a bit string")
+    p = command("algebra-check", _cmd_algebra_check, ("text", "json"), [],
+                help="verify the operator product table and gate identities")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="largest deviation an identity group may show")
+
+    p = command("map", _cmd_map, ("text", "json"), [],
+                help="evaluate the computational or continuum map of a bit string")
     p.add_argument("bits", help="bit string, site 0 first (may be empty for pure-period input)")
     p.add_argument("--mode", choices=("computational", "continuum"), default="computational")
     p.add_argument("--period", default=None, help="repeating bit block (continuum mode)")
-    p.set_defaults(func=_cmd_map, formats=("text", "json"))
 
-    p = sub.add_parser("state", parents=[common],
-                       help="construct a number or coherent state and emit its JSON")
+    p = command("state", _cmd_state, ("json",), [coherent],
+                help="construct a number or coherent state and emit its JSON")
     p.add_argument("kind", choices=("number", "coherent"))
     p.add_argument("value", help="level n for number, z as a+bi for coherent")
-    p.set_defaults(func=_cmd_state, formats=("json",))
 
-    p = sub.add_parser("decompose", parents=[common],
-                       help="emit a gate decomposition as circuit JSON (full and reduced)")
+    p = command("decompose", _cmd_decompose, ("json",), [coherent],
+                help="emit a gate decomposition as circuit JSON (full and reduced)")
     p.add_argument("kind", choices=("position", "momentum", "displacement"))
     p.add_argument("--z", default=None, help="displacement argument as a+bi")
-    p.set_defaults(func=_cmd_decompose, formats=("json",))
 
-    p = sub.add_parser("evolve", parents=[common],
-                       help="emit a coherent-state trajectory as CSV")
+    p = command("evolve", _cmd_evolve, ("csv",), [coherent],
+                help="emit a coherent-state trajectory as CSV")
     p.add_argument("--z", required=True, help="coherent amplitude as a+bi")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--steps", type=int, default=256)
-    p.set_defaults(func=_cmd_evolve, formats=("csv",))
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the full verification suite with pinned tolerances")
+    p = command("verify", _cmd_verify, ("text", "json"), [scales],
+                help="run the full verification suite with pinned tolerances")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.add_argument("--mutate", choices=MUTATIONS, default="none",
                    help="inject a deliberate fault to exercise the suite")
-    p.set_defaults(func=_cmd_verify, formats=("text", "json"))
 
-    # last in each of these parsers: a shared parent parser would list it
-    # among the common options in --help
-    for name in ("state", "decompose", "evolve"):
-        sub.choices[name].add_argument("--allow-truncation-risk", action="store_true",
-                                       help="bypass the |z|^2 <= rank/4 guard")
     # argparse would read -0.156+0.485i as an unknown option: take a minus
     # followed by a digit as the start of a value, as it does for -0.5.
     for p in (parser, *sub.choices.values()):
@@ -354,8 +343,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _check_config(args)
-        fmt = _pick_format(args)
-        passed, output = args.func(args, fmt)
+        passed, output = args.func(args)
         _emit(output if isinstance(output, str) else jsonio.dumps(output), args.out)
     except BosonRegError as exc:
         print(f"bosonreg: error: {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ from bosonreg.bosonic import (
     project,
     register_block,
 )
-from bosonreg.errors import EnergyScaleError, NotBosonicError, ZeroVectorError
+from bosonreg.errors import EnergyScaleError, NotBosonicError, RankMismatchError, ZeroVectorError
 from bosonreg.fock import build_fock, intertwine_check
 from bosonreg.gates import IDENTITY, Circuit, CircuitTerm, apply_circuit, local
 from bosonreg.qubit import SiteOp, op_bit_matrix
@@ -92,6 +92,22 @@ def test_register_operator_algebra():
 def test_register_operator_refuses_a_rank_out_of_range(rank):
     with pytest.raises(ValueError, match=r"rank must be an integer in \[1, 64\]"):
         RegisterOperator(rank, IDENTITY)
+
+
+def test_operator_sums_refuse_an_operand_of_another_rank():
+    """A rank-4 ladder summed into a rank-8 operator would map the
+    transbosonic key 18 to 1.414·|17), where the rank-8 ladder gives 0."""
+    small, large = ladder("lower", PARAMS, 4), ladder("lower", PARAMS, 8)
+    with pytest.raises(RankMismatchError, match=r"^rank 8 vs 4$"):
+        RegisterOperator.weighted_sum(8, [(1, small)])
+    with pytest.raises(RankMismatchError, match=r"^rank 8 vs 4$"):
+        RegisterOperator.weighted_sum(8, [(1, large), (2, small)])
+    for combine in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(RankMismatchError, match=r"^rank 4 vs 8$"):
+            combine(small, large)
+        with pytest.raises(RankMismatchError, match=r"^rank 8 vs 4$"):
+            combine(large, small)
+    assert large.apply(RegisterState(8, {18: 1})).is_zero
 
 
 _RANK6_OPS = (

@@ -573,19 +573,21 @@ def test_negative_complex_value_needs_no_equals_sign(capsys, spaced, joined):
 def test_config_validation(capsys):
     assert run(capsys, "verify", "--rank", "65")[0] == 2
     assert run(capsys, "verify", "--rank", "1")[0] == 2
-    assert run(capsys, "algebra-check", "--alpha", "0")[0] == 2
+    assert run(capsys, "decompose", "position", "--alpha", "0")[0] == 2
     assert run(capsys, "algebra-check", "--tol", "-1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
 
 
-# each subcommand with a valid argv, and a format it does not support
+# each subcommand with a valid argv, the formats it writes (the first is the
+# default), a format it does not write, and the options of _BAD_CONFIG it takes
+_SCALE_OPTIONS = ("--rank", "--alpha")
 _COMMANDS = {
-    "algebra-check": (("algebra-check",), "csv", "text, json"),
-    "map": (("map", "1"), "csv", "text, json"),
-    "state": (("state", "number", "1"), "text", "json"),
-    "decompose": (("decompose", "position"), "text", "json"),
-    "evolve": (("evolve", "--z", "0.5", "--t1", "1"), "json", "csv"),
-    "verify": (("verify",), "csv", "text, json"),
+    "algebra-check": (("algebra-check",), ("text", "json"), "csv", ("--tol",)),
+    "map": (("map", "1"), ("text", "json"), "csv", ()),
+    "state": (("state", "number", "1"), ("json",), "text", _SCALE_OPTIONS),
+    "decompose": (("decompose", "position"), ("json",), "text", _SCALE_OPTIONS),
+    "evolve": (("evolve", "--z", "0.5", "--t1", "1"), ("csv",), "json", _SCALE_OPTIONS),
+    "verify": (("verify",), ("text", "json"), "csv", (*_SCALE_OPTIONS, "--seed")),
 }
 
 _BAD_CONFIG = {
@@ -598,44 +600,54 @@ _BAD_CONFIG = {
 
 @pytest.mark.parametrize("command", _COMMANDS)
 def test_every_command_refuses_bad_config_and_format_in_one_line(capsys, command):
-    """Config is checked before the format, and both before the command runs."""
-    argv, bad_format, allowed = _COMMANDS[command]
-    for option, message in _BAD_CONFIG.items():
-        assert run(capsys, *argv, *option) == (2, "", f"bosonreg: error: {message}\n")
-    refusal = f"format {bad_format!r} is not supported here (allowed: {allowed})"
-    assert run(capsys, *argv, "--format", bad_format) == (2, "", f"bosonreg: error: {refusal}\n")
-    both = run(capsys, *argv, "--format", bad_format, "--rank", "99")
-    assert both == (2, "", "bosonreg: error: --rank must be in [2, 64], got 99\n")
+    """A bad value of an option the command takes exits 2 with one line before
+    the command runs. An option it does not take, or a format it does not
+    write, exits 2 from the parser, before any value is checked."""
+    argv, writes, bad_format, takes = _COMMANDS[command]
+    parser = cli._build_parser()
+    assert parser.parse_args(argv).format == writes[0]
+    assert [parser.parse_args([*argv, "--format", f]).format for f in writes] == list(writes)
+    for (option, value), message in _BAD_CONFIG.items():
+        code, out, err = run(capsys, *argv, option, value)
+        assert (code, out) == (2, "")
+        if option in takes:
+            assert err == f"bosonreg: error: {message}\n"
+        else:
+            assert err.endswith(f"error: unrecognized arguments: {option} {value}\n")
+    for extra in ((), ("--rank", "99")):
+        code, out, err = run(capsys, *argv, "--format", bad_format, *extra)
+        assert (code, out) == (2, "")
+        assert f"error: argument --format: invalid choice: {bad_format!r}" in err
 
 
-_COMMON_ACTIONS = [
-    (("-h", "--help"), "help"), (("--rank",), "rank"), (("--alpha",), "alpha"),
-    (("--beta",), "beta"), (("--hbar",), "hbar"), (("--tol",), "tol"),
-    (("--format",), "format"), (("--out",), "out"), (("--seed",), "seed"),
-]
+_HELP = [(("-h", "--help"), "help")]
+_SCALES = [(("--rank",), "rank"), (("--alpha",), "alpha"), (("--beta",), "beta"),
+           (("--hbar",), "hbar")]
 _RISK = [(("--allow-truncation-risk",), "allow_truncation_risk")]
-_OWN_ACTIONS = {
-    "algebra-check": [],
-    "map": [((), "bits"), (("--mode",), "mode"), (("--period",), "period")],
-    "state": [((), "kind"), ((), "value"), *_RISK],
-    "decompose": [((), "kind"), (("--z",), "z"), *_RISK],
-    "evolve": [(("--z",), "z"), (("--t0",), "t0"), (("--t1",), "t1"), (("--steps",), "steps"),
-               *_RISK],
-    "verify": [(("--mutate",), "mutate")],
+_OUTPUT = [(("--format",), "format"), (("--out",), "out")]
+_ACTIONS = {
+    "algebra-check": [*_OUTPUT, (("--tol",), "tol")],
+    "map": [*_OUTPUT, ((), "bits"), (("--mode",), "mode"), (("--period",), "period")],
+    "state": [*_SCALES, *_RISK, *_OUTPUT, ((), "kind"), ((), "value")],
+    "decompose": [*_SCALES, *_RISK, *_OUTPUT, ((), "kind"), (("--z",), "z")],
+    "evolve": [*_SCALES, *_RISK, *_OUTPUT, (("--z",), "z"), (("--t0",), "t0"),
+               (("--t1",), "t1"), (("--steps",), "steps")],
+    "verify": [*_SCALES, *_OUTPUT, (("--seed",), "seed"), (("--mutate",), "mutate")],
 }
 
 
 def test_parser_actions_keep_their_order():
-    """The options of each parser, in the order --help lists them."""
+    """Each parser holds only the options its command reads, in the order
+    --help lists them."""
     def actions(parser):
         return [(tuple(a.option_strings), a.dest) for a in parser._actions]
 
     parser = cli._build_parser()
-    assert actions(parser) == [(("-h", "--help"), "help"), ((), "command")]
+    assert actions(parser) == [*_HELP, ((), "command")]
     subparsers = parser._actions[-1].choices
-    assert list(subparsers) == list(_OWN_ACTIONS)
-    for name, own in _OWN_ACTIONS.items():
-        assert actions(subparsers[name]) == _COMMON_ACTIONS + own, name
+    assert list(subparsers) == list(_ACTIONS)
+    for name, own in _ACTIONS.items():
+        assert actions(subparsers[name]) == _HELP + own, name
 
 
 @pytest.mark.parametrize("command", _COMMANDS)
@@ -775,7 +787,6 @@ _COMPLEX = st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)).map(
 
 @st.composite
 def _cli_argv(draw):
-    rank = draw(st.integers(2, 64))
     command = draw(st.sampled_from(["number", "coherent", "position", "momentum",
                                     "displacement", "evolve", "map"]))
     if command == "map":
@@ -784,7 +795,9 @@ def _cli_argv(draw):
                 "--format", draw(st.sampled_from(["text", "json"]))]
         if draw(st.booleans()):
             argv += ["--period", draw(st.text("01", max_size=80))]
-    elif command == "number":
+        return argv
+    rank = draw(st.integers(2, 64))
+    if command == "number":
         argv = ["state", "number", str(draw(st.integers(0, rank - 1)))]
     elif command == "coherent":
         argv = ["state", "coherent", draw(_COMPLEX)]

@@ -359,7 +359,7 @@ def _low_levels_position(params, rank, top):
     return position(params, rank) @ low
 
 
-def test_tabulate_walks_the_smaller_side_in_its_order():
+def test_tabulate_sums_in_the_states_key_order():
     """x after the filter onto levels 0..3 stores 5 image keys, in the order
     1, 2, 0, 3, 4, against the state's 8: tabulate sums over the state's
     keys in the state's order, as inner_product does, not in the image's."""
