@@ -160,45 +160,36 @@ class RegisterOperator:
     def apply(self, state: RegisterState) -> RegisterState:
         return apply_index(self.rank, self._indexed(), state)
 
-    def _require_same_rank(self, other: "RegisterOperator") -> None:
-        if self.rank != other.rank:
-            raise RankMismatchError(f"rank {self.rank} vs {other.rank}")
-
     def __add__(self, other: "RegisterOperator") -> "RegisterOperator":
-        return RegisterOperator.weighted_sum(
-            self.rank, ((1 + 0j, self), (1 + 0j, other))
-        )
+        return RegisterOperator.weighted_sum(self.rank, ((1 + 0j, self), (1 + 0j, other)))
 
     def __sub__(self, other: "RegisterOperator") -> "RegisterOperator":
-        return RegisterOperator.weighted_sum(
-            self.rank, ((1 + 0j, self), (-1 + 0j, other))
-        )
+        return RegisterOperator.weighted_sum(self.rank, ((1 + 0j, self), (-1 + 0j, other)))
 
     def scale(self, factor: complex) -> "RegisterOperator":
         return RegisterOperator.weighted_sum(self.rank, ((factor, self),))
 
     def __matmul__(self, other: "RegisterOperator") -> "RegisterOperator":
         """Composition self after other."""
-        self._require_same_rank(other)
+        if self.rank != other.rank:
+            raise RankMismatchError(f"rank {self.rank} vs {other.rank}")
         return RegisterOperator(self.rank, compose(self.branches, other.branches))
 
     @classmethod
-    def weighted_sum(
-        cls, rank: int, pairs: Iterable[tuple[complex, "RegisterOperator"]]
-    ) -> "RegisterOperator":
-        """Sum of weight * op over the pairs; every op must have rank ``rank``."""
-        pairs = tuple(pairs)
+    def weighted_sum(cls, rank: int, pairs: Iterable[tuple[complex, "RegisterOperator"]],
+                     factor: complex | None = None) -> "RegisterOperator":
+        """Sum of weight * op over the pairs, every op of rank ``rank``; a ``factor``
+        scales it in the same pass, each coeff factor * (weight * c) as scale rounds it."""
+        pairs = [(complex(weight), op) for weight, op in pairs]
         for _, op in pairs:
             if op.rank != rank:
                 raise RankMismatchError(f"rank {rank} vs {op.rank}")
-        return cls(
-            rank,
-            (
-                (mask, value, flip, complex(weight) * c)
-                for weight, op in pairs
-                for mask, value, flip, c in op.branches
-            ),
-        )
+        factor = None if factor is None else complex(factor)
+        return cls(rank, (
+            (mask, value, flip, w * c if factor is None else factor * (w * c))
+            for w, op in pairs
+            for mask, value, flip, c in op.branches
+        ))
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2**R matrix, columns indexed by integer key."""
@@ -268,6 +259,15 @@ def _level_weight(n: int, params: PhysParams) -> float:
     return math.sqrt((n + 1) * 2.0 * params.epsilon)
 
 
+def _hops(direction: str, weights: Sequence[complex], rank: int) -> RegisterOperator:
+    """The ladder ``direction`` whose hop between levels n, n+1 has weight weights[n]."""
+    if direction == "lower":
+        return _level_units(rank, ((w, n + 1, n) for n, w in enumerate(weights)))
+    if direction == "raise":
+        return _level_units(rank, ((w, n, n + 1) for n, w in enumerate(weights)))
+    raise ValueError("direction must be 'lower' or 'raise'")
+
+
 def ladder(direction: str, params: PhysParams, rank: int) -> RegisterOperator:
     """The register lowering or raising operator, a weighted sum of hops.
 
@@ -275,13 +275,7 @@ def ladder(direction: str, params: PhysParams, rank: int) -> RegisterOperator:
     key; raising annihilates the top level R-1 because the truncated sum has
     no hop leaving it.
     """
-    if direction == "lower":
-        hops = [(_level_weight(n, params) + 0j, n + 1, n) for n in range(rank - 1)]
-    elif direction == "raise":
-        hops = [(_level_weight(n, params) + 0j, n, n + 1) for n in range(rank - 1)]
-    else:
-        raise ValueError("direction must be 'lower' or 'raise'")
-    return _level_units(rank, hops)
+    return _hops(direction, [_level_weight(n, params) + 0j for n in range(rank - 1)], rank)
 
 
 def hamiltonian(params: PhysParams, rank: int) -> RegisterOperator:
@@ -298,23 +292,32 @@ LadderPair = tuple[RegisterOperator, RegisterOperator]
 
 
 def _ladder_pair(params: PhysParams, rank: int) -> LadderPair:
-    return ladder("raise", params, rank), ladder("lower", params, rank)
+    """(raise, lower), from one list of the R-1 level weights."""
+    weights = [_level_weight(n, params) + 0j for n in range(rank - 1)]
+    return _hops("raise", weights, rank), _hops("lower", weights, rank)
 
 
 def position(
     params: PhysParams, rank: int, ladders: LadderPair | None = None
 ) -> RegisterOperator:
-    """x = (raise + lower) / (2 beta), from ``ladders`` = (raise, lower) if given."""
+    """x = (raise + lower) / (2 beta), from ``ladders`` = (raise, lower) if
+    given, in one weighted_sum pass with the bits of the sum's scale."""
     up, down = ladders or _ladder_pair(params, rank)
-    return (up + down).scale(1.0 / (2.0 * params.beta))
+    return RegisterOperator.weighted_sum(
+        up.rank, ((1 + 0j, up), (1 + 0j, down)), 1.0 / (2.0 * params.beta)
+    )
 
 
 def momentum(
     params: PhysParams, rank: int, ladders: LadderPair | None = None
 ) -> RegisterOperator:
-    """p = i (raise - lower) / (2 alpha), from ``ladders`` = (raise, lower) if given."""
+    """p = i (raise - lower) / (2 alpha), from ``ladders`` = (raise, lower) if
+    given, in one weighted_sum pass with the bits of the difference's scale:
+    a lowering coeff is q * ((-1+0j) * c), as (-q) * c flips a zero's sign."""
     up, down = ladders or _ladder_pair(params, rank)
-    return (up - down).scale(1j / (2.0 * params.alpha))
+    return RegisterOperator.weighted_sum(
+        up.rank, ((1 + 0j, up), (-1 + 0j, down)), 1j / (2.0 * params.alpha)
+    )
 
 
 def decomposition_terms(rank: int, weights: Sequence[complex], theta: float) -> CircuitPair:

@@ -356,8 +356,7 @@ def _canonical_commutators(cfg: VerifyConfig, kit: Toolkit) -> list[_Part]:
     rank = min(16, cfg.rank)
     rng = np.random.default_rng(cfg.seed + 1)
     eps, hbar = cfg.params.epsilon, cfg.params.hbar
-    lower = kit.ladder("lower", rank)
-    upper = kit.ladder("raise", rank)
+    upper, lower = kit._ladders(rank)
     x_op = kit.position(rank)
     p_op = kit.momentum(rank)
     filter_op = bosonic.bosonic_identity(rank)

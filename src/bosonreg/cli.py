@@ -20,7 +20,7 @@ import math
 import re
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -37,6 +37,13 @@ __all__ = ["main", "parse_complex"]
 
 class _UsageError(BosonRegError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuse in one stderr line, `<prog>: error: <message>`, exit 2; subparsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def parse_complex(text: str) -> complex:
@@ -280,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     coherent.add_argument("--allow-truncation-risk", action="store_true",
                           help="bypass the |z|^2 <= rank/4 guard")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bosonreg",
         description="Finite-rank qubit-register model of the quantized oscillator.",
     )

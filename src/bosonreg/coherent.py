@@ -42,7 +42,6 @@ from .bosonic import (
     embed,
     hamiltonian,
     is_bosonic_state,
-    ladder,
     momentum,
     position,
     project,
@@ -222,8 +221,7 @@ def _expm_i(h: np.ndarray, keys: list[int] | None = None) -> np.ndarray:
 
 def displacement_generator_block(spec: CoherentSpec) -> np.ndarray:
     """R x R block of (z raise - z* lower)/sqrt(2 eps) from the register ladders."""
-    lower = register_block(ladder("lower", spec.params, spec.rank))
-    upper = register_block(ladder("raise", spec.params, spec.rank))
+    upper, lower = map(register_block, _ladder_pair(spec.params, spec.rank))
     return (spec.z * upper - spec.z.conjugate() * lower) / math.sqrt(
         2.0 * spec.params.epsilon
     )
@@ -429,11 +427,9 @@ class Trajectory:
 def trajectory(spec: CoherentSpec, times: np.ndarray) -> Trajectory:
     """Evolve the coherent state and tabulate <x>, <p>, <h> at each time."""
     times = np.asarray(times, dtype=float)
-    ladders = _ladder_pair(spec.params, spec.rank)  # one (raise, lower) pair serves x and p
-    ops = (
-        position(spec.params, spec.rank, ladders),
-        momentum(spec.params, spec.rank, ladders),
-        hamiltonian(spec.params, spec.rank),
-    )
-    x, p, h = tabulate(coherent_series(spec).state, ops, times, spec.params)
+    params, rank = spec.params, spec.rank
+    ladders = _ladder_pair(params, rank)  # one (raise, lower) pair serves x and p
+    ops = (position(params, rank, ladders), momentum(params, rank, ladders),
+           hamiltonian(params, rank))
+    x, p, h = tabulate(coherent_series(spec).state, ops, times, params)
     return Trajectory(times, np.array(x), np.array(p), np.array(h))

@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
+from itertools import count
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -123,16 +123,12 @@ BranchIndex = tuple[tuple[int, dict[int, tuple[tuple[int, int, complex], ...]]],
 
 
 def index_branches(branches: Iterable[Branch]) -> BranchIndex:
-    """Group the branches by cond_mask so a key finds its hits by lookup."""
-    tables: dict[int, dict[int, list]] = {}
+    """Group the branches by cond_mask for lookup, growing each hit tuple as its branches come."""
+    tables: dict[int, dict[int, tuple]] = {}
     for position, (mask, value, flip, coeff) in enumerate(branches):
-        tables.setdefault(mask, {}).setdefault(value, []).append(
-            (position, flip, complex(coeff))
-        )
-    return tuple(
-        (mask, {value: tuple(hits) for value, hits in table.items()})
-        for mask, table in tables.items()
-    )
+        table = tables.get(mask) or tables.setdefault(mask, {})  # a table is never left empty
+        table[value] = table.get(value, ()) + ((position, flip, complex(coeff)),)
+    return tuple(tables.items())
 
 
 def _lookup(index: BranchIndex, keys: Iterable[int]) -> list[tuple | None]:
@@ -193,32 +189,31 @@ class ApplyPlan:
 def plan_index(indexes: Sequence[BranchIndex], sources: Sequence[int]) -> ApplyPlan:
     """Record what apply_index does with each of ``indexes`` to states that
     store ``sources``, in order, on those keys, taking each coeff from the
-    index's hits."""
+    index's hits.  One counter per (operator, slot) gives each contribution
+    its layer, and positions and coeffs are scattered into the plan once."""
     slots = {key: slot for slot, key in enumerate(sources)}
-    cells, counts, contributions = [], [], []
+    stride = len(indexes) * len(slots)  # flat index (layer, operator, slot)
+    layers = [0] * stride  # the contributions each (operator, slot) has so far
+    at, positions, coeffs = [], [], []
     for operator, index in enumerate(indexes):
-        image: dict[int, list[tuple[int, complex]]] = {}  # slot -> (source position, coeff)s
+        cells = operator * len(slots)
         for position, key, hits in zip(count(), sources, _lookup(index, sources)):
             for _, flip, coeff in hits or ():
                 slot = slots.get(key ^ flip)
                 if slot is not None:
-                    image.setdefault(slot, []).append((position, coeff))
-        cells += [operator * len(slots) + slot for slot in image]
-        counts += map(len, image.values())
-        contributions += chain.from_iterable(image.values())
-    shape = (max(counts, default=0), len(indexes), len(slots))
-    positions = np.full(shape, len(sources), dtype=np.intp)
-    coeffs = np.zeros(shape, dtype=complex)
-    if contributions:
-        # each contribution's flat (layer, operator, slot) index; a slot's come in layer order
-        counts = np.array(counts)
-        layer = np.arange(len(contributions)) - np.repeat(np.cumsum(counts) - counts, counts)
-        at = layer * (shape[1] * shape[2]) + np.repeat(cells, counts)
-        position, coeff = zip(*contributions)
-        positions.flat[at] = np.fromiter(position, np.intp, len(position))
-        coeffs.flat[at] = np.fromiter(coeff, complex, len(coeff))
-    turned = np.stack((-coeffs.imag, coeffs.imag), axis=1)[:, :, None]  # meets (ai, ar) rows
-    return ApplyPlan(positions, coeffs.real.copy(), turned)
+                    cell = cells + slot
+                    at.append(layers[cell] * stride + cell)
+                    layers[cell] += 1
+                    positions.append(position)
+                    coeffs.append(coeff)
+    shape = (max(layers, default=0), len(indexes), len(slots))
+    at = np.array(at, dtype=np.intp)
+    planned = np.full(shape, len(sources), dtype=np.intp)
+    planned.put(at, positions)
+    weights = np.zeros(shape, dtype=complex)
+    weights.put(at, coeffs)
+    turned = np.stack((-weights.imag, weights.imag), axis=1)[:, :, None]  # meets (ai, ar) rows
+    return ApplyPlan(planned, weights.real.copy(), turned)
 
 
 def apply_plan(plan: ApplyPlan, amps: np.ndarray) -> np.ndarray:

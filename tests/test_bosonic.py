@@ -192,6 +192,11 @@ def test_hops_and_projectors_are_their_site_products():
                 (position(params, rank), (up + down).scale(1.0 / (2.0 * params.beta))),
                 (momentum(params, rank), (up - down).scale(1j / (2.0 * params.alpha))),
                 (hamiltonian(params, rank), energy),
+                # swapped ladders, as verify's b-convention fault hands them over
+                (position(params, rank, (down, up)),
+                 (down + up).scale(1.0 / (2.0 * params.beta))),
+                (momentum(params, rank, (down, up)),
+                 (down - up).scale(1j / (2.0 * params.alpha))),
             ):
                 assert repr(built.branches) == repr(product.branches)
 

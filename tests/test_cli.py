@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -305,6 +306,36 @@ def test_decompose_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# digests of the evolve CSV at the ranks the benchmark runs, with complex z
+# and scales other than 1: a faster way to build, index or plan x, p and H
+# must keep every byte
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("evolve", "--z", "0.7-0.4i", "--rank", "16", "--t1", "6.5", "--steps", "40",
+             "--alpha", "1.3", "--beta", "0.8", "--hbar", "1.1"),
+            "9d09f4a5673894b178fc7fb4e9083e5eb67441d724ff964afe5c0891c7785e24",
+        ),
+        (
+            ("evolve", "--z", "-1.2+0.9i", "--rank", "40", "--t0", "0.25", "--t1", "9",
+             "--steps", "33", "--alpha", "0.6", "--beta", "1.7", "--hbar", "0.9"),
+            "e764fe2e575c02184462fcc7a98ea429fdec2825cc2710d876935b5af61d58b5",
+        ),
+        (
+            ("evolve", "--z", "-2.5+2.1i", "--rank", "64", "--t1", "12", "--steps", "64",
+             "--alpha", "2.2", "--beta", "0.45", "--hbar", "1.3"),
+            "7a3266a1ea2f9fc5cbe23ff3f4822c01aa41cf2902a54b7c6468262af74b03fd",
+        ),
+    ],
+    ids=["evolve-16", "evolve-40", "evolve-64"],
+)
+def test_evolve_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("kind", ["position", "momentum"])
 def test_decompose_writes_each_placement_once(monkeypatch, kind):
     """Across two decompositions written in one process, each half through
@@ -480,7 +511,7 @@ def test_parser_is_built_once_and_reuse_leaks_no_state(capsys, monkeypatch):
     assert outcomes() == shared
     assert [code for code, _, _ in shared] == [0, 0, 2, 0, 1, 0]
     assert len(shared[1][1].splitlines()) == 257
-    assert shared[2][2].startswith("usage: bosonreg evolve")
+    assert shared[2][2] == "bosonreg evolve: error: the following arguments are required: --t1\n"
 
 
 @pytest.mark.parametrize(
@@ -785,8 +816,29 @@ _COMPLEX = st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)).map(
 )
 
 
+# per command, argv tails the parser refuses: an option the command does not
+# take, a format it does not write, and a value of the wrong type
+_PARSER_REFUSALS = {
+    command: [("--tol", "1"), ("--format", bad_format), typed]
+    for command, bad_format, typed in [
+        ("map", "csv", ("--mode", "sideways")),
+        ("state", "text", ("--rank", "two")),
+        ("decompose", "text", ("--alpha", "one")),
+        ("evolve", "json", ("--steps", "2.5")),
+    ]
+}
+
+
 @st.composite
 def _cli_argv(draw):
+    argv = draw(_cli_accepted_argv())
+    if draw(st.integers(0, 3)) == 0:
+        argv += draw(st.sampled_from(_PARSER_REFUSALS[argv[0]]))
+    return argv
+
+
+@st.composite
+def _cli_accepted_argv(draw):
     command = draw(st.sampled_from(["number", "coherent", "position", "momentum",
                                     "displacement", "evolve", "map"]))
     if command == "map":
@@ -826,15 +878,31 @@ def _cli_argv(draw):
 @example(list(_PAST_DIGIT_LIMIT[2]))
 @example(list(_PAST_DIGIT_LIMIT[3]))
 @example(["map", "", "--mode", "continuum", "--period", "1" * 20000])
+# parser refusals: an option the command does not take, a format it does not
+# write, a missing required option and an unknown command
+@example(["map", "1", "--rank", "99"])
+@example(["state", "number", "1", "--format", "text"])
+@example(["evolve", "--z", "0.5"])
+@example(["frob"])
 def test_cli_domain_answers_or_refuses_in_one_line(argv):
-    """Across rank 2..64 and scales 1e-300..1e300: exit 0, or exit 2 with one stderr line."""
+    """Across rank 2..64 and scales 1e-300..1e300: exit 0, or exit 2 with one
+    stderr line, `bosonreg: error: ` or, for a subcommand's parser refusal,
+    `bosonreg <command>: error: `."""
     code, _, err = _quiet_main(*argv)
     assert "Traceback" not in err
     assert code in (0, 2)
     if code == 2:
-        assert err.startswith("bosonreg: error: ") and err.count("\n") == 1
+        assert re.fullmatch(rf"bosonreg( {re.escape(argv[0])})?: error: [^\n]+\n", err)
     else:
         assert err == ""
+    tail = tuple(argv[-2:])
+    if tail in _PARSER_REFUSALS.get(argv[0], ()):
+        option, value = tail
+        assert code == 2
+        if option == "--tol":
+            assert err == f"bosonreg: error: unrecognized arguments: {option} {value}\n"
+        else:
+            assert err.startswith(f"bosonreg {argv[0]}: error: argument {option}: ")
 
 
 @settings(max_examples=25, deadline=None)
