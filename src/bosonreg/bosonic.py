@@ -137,9 +137,10 @@ class PhysParams:
 class RegisterOperator:
     """A linear map on register states, held as a tuple of monomial branches.
 
-    The first application groups the branches by cond_mask and keeps that
-    index; every application then costs one lookup per stored amplitude and
-    mask, so cost scales with the occupation of the state, not with 2**R or
+    The first application cuts the branches into runs of one cond_mask and
+    keeps that index; every application then costs one lookup per stored
+    amplitude and run (every operator the package builds is at most one
+    run), so cost scales with the occupation of the state, not with 2**R or
     the branch count.  Operators combine by +, -, scale and @
     (composition, right factor first); each combination concatenates,
     rescales or composes branches once, when the operator is built.

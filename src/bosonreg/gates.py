@@ -11,13 +11,14 @@ coeff and annihilates every other key.  A linear map is a sequence of
 branches whose images add.  Site operators, gates, hops, projectors and whole
 circuits all compile to branches, and compose, apply_index (with
 plan_index) and branch_matrix are the only code that rewrites keys.  Sparse
-application first groups the branches by cond_mask (index_branches); each
-stored key then finds the branches it meets by one lookup of key & cond_mask
-per mask.  Applying any number of operators to many states that store the
-same keys in the same order, and reading each image on those keys alone, can
-be compiled once into one plan (plan_index, which shares apply_index's
-lookup) and then run on all of them at once, as a few float64 array passes
-over one row of amplitudes per state and operator (apply_plan).
+application first cuts the branch list into runs of adjacent branches that
+share a cond_mask (index_branches); each stored key then finds the branches
+it meets by one lookup of key & cond_mask per run, in branch order.
+Applying any number of operators to many states that store the same keys in
+the same order, and reading each image on those keys alone, can be compiled
+once into one plan (plan_index, which shares apply_index's lookup) and then
+run on all of them at once, as a few float64 array passes over one row of
+amplitudes per state and operator (apply_plan).
 
 CNOT with control a and target b flips bit b exactly on branches where bit a
 is 1; its transpose is the same gate with the roles swapped, written
@@ -29,8 +30,9 @@ oppositely:
     (bit a, bit b) = (0, 1)  ->  (1, 0)  times e^{-i theta}
 
 while equal-bit branches pass through unchanged; theta = 0 is the plain
-swap.  Sparse application costs stored amplitudes times distinct masks
-plus the images produced, never 2**R.
+swap.  Sparse application costs stored amplitudes times runs plus the
+images produced, never 2**R; every operator the package builds is at most
+one run.
 
 A Circuit is a complex-weighted sum of factor products, each factor being a
 single-site operator placement, a CNOT, or a phased transpose; each placement
@@ -50,8 +52,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, count, repeat
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -117,50 +119,38 @@ def compose(left: Iterable[Branch], right: Iterable[Branch]) -> tuple[Branch, ..
     return tuple(out)
 
 
-#: Branches grouped by cond_mask, each group a {cond_value: hits} table.  A hit
-#: is (position in the branch list, xor_mask, coeff); hits keep branch order.
-BranchIndex = tuple[tuple[int, dict[int, tuple[tuple[int, int, complex], ...]]], ...]
+#: The branch list cut into runs of adjacent branches that share a cond_mask,
+#: each run a {cond_value: hits} table; a hit is (xor_mask, coeff), in branch order.
+BranchIndex = tuple[tuple[int, dict[int, list[tuple[int, complex]]]], ...]
 
 
 def index_branches(branches: Iterable[Branch]) -> BranchIndex:
-    """Group the branches by cond_mask for lookup, growing each hit tuple as its branches come."""
-    tables: dict[int, dict[int, tuple]] = {}
-    for position, (mask, value, flip, coeff) in enumerate(branches):
-        table = tables.get(mask) or tables.setdefault(mask, {})  # a table is never left empty
-        table[value] = table.get(value, ()) + ((position, flip, complex(coeff)),)
-    return tuple(tables.items())
+    """Cut the branches into one-mask runs, appending each hit to its cond_value's list."""
+    runs, run_mask, table = [], None, {}
+    for mask, value, flip, coeff in branches:
+        if mask != run_mask:
+            run_mask, table = mask, {}
+            runs.append((mask, table))
+        table.setdefault(value, []).append((flip, complex(coeff)))
+    return tuple(runs)
 
 
-def _lookup(index: BranchIndex, keys: Iterable[int]) -> list[tuple | None]:
-    """The hits each key meets, in branch order; None or () when it meets none.
-
-    A key that hits branches under several masks gets them merged by branch
-    position, so its images add in the order of a plain scan over the branches.
-    """
-    if len(index) == 1:
-        ((mask, table),) = index
-        return list(map(table.get, map(mask.__and__, keys)))
-    found_by_key = []
-    for key in keys:
-        hits: tuple = ()
-        for mask, table in index:
-            found = table.get(key & mask)
-            if found:
-                hits = tuple(sorted(hits + found)) if hits else found
-        found_by_key.append(hits)
-    return found_by_key
+def _lookup(index: BranchIndex, keys: Collection[int]) -> Iterator[Iterable[tuple[int, complex]]]:
+    """The hits each key meets, in branch order: one lookup pass per run,
+    each run's hits following those of the runs before it."""
+    per_run = [map(table.get, map(mask.__and__, keys), repeat(())) for mask, table in index]
+    return map(chain.from_iterable, zip(*per_run))
 
 
 def apply_index(rank: int, index: BranchIndex, state: RegisterState) -> RegisterState:
-    """Sparse action: each stored key looks up ``key & cond_mask`` once per mask."""
+    """Sparse action: each stored key looks up ``key & cond_mask`` once per run."""
     if state.rank != rank:
         raise RankMismatchError(f"state rank {state.rank} vs operator rank {rank}")
     acc: dict[int, complex] = {}
     for (key, amp), hits in zip(state.items(), _lookup(index, state.amplitudes)):
-        if hits:
-            for _, flip, coeff in hits:
-                out_key = key ^ flip
-                acc[out_key] = acc.get(out_key, 0j) + amp * coeff
+        for flip, coeff in hits:
+            out_key = key ^ flip
+            acc[out_key] = acc.get(out_key, 0j) + amp * coeff
     return RegisterState(rank, acc)
 
 
@@ -198,7 +188,7 @@ def plan_index(indexes: Sequence[BranchIndex], sources: Sequence[int]) -> ApplyP
     for operator, index in enumerate(indexes):
         cells = operator * len(slots)
         for position, key, hits in zip(count(), sources, _lookup(index, sources)):
-            for _, flip, coeff in hits or ():
+            for flip, coeff in hits:
                 slot = slots.get(key ^ flip)
                 if slot is not None:
                     cell = cells + slot

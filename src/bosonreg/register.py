@@ -48,7 +48,7 @@ DENSE_MAX_RANK = 12
 
 
 def _check_rank(rank: int) -> int:
-    if not isinstance(rank, int) or not 1 <= rank <= MAX_RANK:
+    if type(rank) is not int or not 1 <= rank <= MAX_RANK:
         raise ValueError(f"rank must be an integer in [1, {MAX_RANK}], got {rank!r}")
     return rank
 

@@ -17,9 +17,13 @@ from bosonreg.bosonic import (
     PhysParams,
     b_lower,
     b_raise,
+    bosonic_identity,
     bosonic_projector,
     gate_decomposition,
+    hamiltonian,
     ladder,
+    momentum,
+    position,
 )
 from bosonreg.coherent import CoherentSpec, displacement_generator_gateform
 from bosonreg.gates import (
@@ -1045,6 +1049,38 @@ def test_indexed_apply_matches_branch_scan(data):
     image = apply_index(rank, index_branches(branches), state)
     assert image.amplitudes == expected
     assert list(image.amplitudes) == list(expected)
+
+
+def test_runs_keep_branch_order_across_masks():
+    """Masks A, B, A make three runs; a key meeting all three gets its
+    images in branch order, where grouping by mask would give 7, 21, 13."""
+    branches = [(1, 1, 2, 1 + 0j), (4, 4, 8, 1 + 0j), (1, 1, 16, 1 + 0j)]
+    state, index = RegisterState(5, {5: 1}), index_branches(branches)
+    assert [mask for mask, _ in index] == [1, 4, 1]
+    image = apply_index(5, index, state)
+    assert image.amplitudes == _scan(branches, state)
+    assert list(image.amplitudes) == [7, 13, 21]
+
+
+def test_every_operator_the_package_builds_is_at_most_one_run():
+    """The cost model's premise: sparse apply makes one lookup per stored key."""
+    params = PhysParams(1.3, 0.8, 1.1)
+    for rank in range(2, 65):
+        raise_, lower = ladder("raise", params, rank), ladder("lower", params, rank)
+        ops = [raise_, lower, raise_ @ lower, bosonic_identity(rank), hamiltonian(params, rank),
+               position(params, rank), momentum(params, rank)]
+        ops += [bosonic_projector(n, rank) for n in range(rank)]
+        ops += [hop(n, rank) for hop in (b_lower, b_raise) for n in range(rank - 1)]
+        for op in ops:
+            assert len(index_branches(op.branches)) == 1
+    for rank in (2, 17, 64):
+        pairs = [gate_decomposition(kind, params, rank) for kind in ("position", "momentum")]
+        pairs.append(displacement_generator_gateform(CoherentSpec(0.3 - 0.4j, params, rank)))
+        for circuit in (c for pair in pairs for c in (pair.full, pair.reduced)):
+            assert len(index_branches(circuit_branches(circuit))) == 1
+        vacuum = displacement_generator_gateform(CoherentSpec(0, params, rank))
+        for circuit in (vacuum.full, vacuum.reduced):
+            assert index_branches(circuit_branches(circuit)) == ()
 
 
 def test_python_complex_product_is_unfused():

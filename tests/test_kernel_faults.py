@@ -111,6 +111,16 @@ def _first_index_for_all(plan_index):
     return faulty
 
 
+def _first_hit_only(index_branches):
+    def faulty(branches):
+        return tuple(
+            (mask, {value: hits[:1] for value, hits in table.items()})
+            for mask, table in index_branches(branches)
+        )
+
+    return faulty
+
+
 # name -> (module, attribute, the faulty attribute from the original one)
 FAULTS = {
     "compose-keeps-contradictions": (
@@ -140,6 +150,7 @@ FAULTS = {
         ),
     ),
     "plan-weights-all-as-first": (gates, "plan_index", _first_index_for_all),
+    "index-keeps-first-hit": (gates, "index_branches", _first_hit_only),
     "level-phases-sin-negated": (coherent, "_level_phases", _sin_negated),
     "series-without-factorial": (coherent, "coherent_series", _series_without_factorial),
     "expm-uses-transpose": (coherent, "_expm_i", lambda _: _expm_i_transposed),
@@ -163,6 +174,9 @@ FAILING = {
     "apply-plan-drops-last-layer": {"coherent-dynamics"},
     # every operator is planned from x's index, so p and H are tabulated as x
     "plan-weights-all-as-first": {"coherent-dynamics"},
+    # a key that meets several branches (a circuit's term products; x and p,
+    # whose raise and lower hops both leave each inner level) takes only the first
+    "index-keeps-first-hit": {"oracle-intertwining", "canonical-commutators", "coherent-dynamics"},
     # every level turns the wrong way: time runs backwards
     "level-phases-sin-negated": {"coherent-dynamics"},
     "series-without-factorial": {"coherent-states", "coherent-dynamics"},

@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bosonreg import jsonio
-from bosonreg.bosonic import PhysParams, gate_decomposition, ladder
+from bosonreg.bosonic import PhysParams, RegisterOperator, gate_decomposition, ladder
 from bosonreg.coherent import CoherentSpec, coherent_series, evolve
-from bosonreg.gates import apply_circuit
+from bosonreg.gates import IDENTITY, Circuit, apply_circuit
 from bosonreg.register import (
     EventuallyPeriodicSequence,
     RegisterState,
@@ -19,6 +19,24 @@ from bosonreg.register import (
     computational_map,
     continuum_map,
 )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rank: RegisterState(rank, {1: 1}),
+        lambda rank: RegisterOperator(rank, IDENTITY),
+        lambda rank: Circuit(rank, ()),
+        lambda rank: CoherentSpec(0.1, PhysParams(), rank),
+    ],
+    ids=["RegisterState", "RegisterOperator", "Circuit", "CoherentSpec"],
+)
+def test_a_bool_rank_is_refused(build):
+    """True is an int subclass; taken as rank 1 it would be written as
+    ``true`` or ``True``, which no reader takes back as a rank."""
+    with pytest.raises(ValueError, match=r"^rank must be an integer in \[1, 64\], got True$"):
+        build(True)
+    assert build(1).rank == 1
 
 
 def test_computational_map_examples():
